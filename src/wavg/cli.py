@@ -23,13 +23,22 @@ EXIT_WITNESS = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
+
+def _rewards(args: str, count: int) -> list:
+    """Exactly ``count`` comma-separated rationals of a builtin game spec."""
+    rewards = [sequences.parse_rational(t) for t in args.split(",")]
+    if len(rewards) != count:
+        raise InputError(f"expected {count} comma-separated rewards, "
+                         f"got {len(rewards)} in {args!r}")
+    return rewards
+
+
 _BUILTIN_GADGETS = {
     "two-branch": lambda args: games.two_branch_gadget(),
     "loops": lambda args: games.loops_gadget(
         [sequences.parse_rational(t) for t in args.split(",")]),
     "escape": lambda args: games.escape_gadget(sequences.parse_rational(args)),
-    "detour": lambda args: games.detour_gadget(
-        *[sequences.parse_rational(t) for t in args.split(",")]),
+    "detour": lambda args: games.detour_gadget(*_rewards(args, 3)),
     "spike": lambda args: games.cycle_choice_gadget(int(args)),
 }
 

@@ -31,8 +31,10 @@ def parse_rational(token: str) -> Fraction:
     """Parse a rational literal: 'p/q' or an integer, no whitespace."""
     if not _RATIONAL_RE.match(token):
         raise SequenceFormatError(f"malformed rational {token!r}")
-    value = Fraction(token)
-    return value
+    _, _, denominator = token.partition("/")
+    if denominator and int(denominator) == 0:
+        raise SequenceFormatError(f"zero denominator in {token!r}")
+    return Fraction(token)
 
 
 def as_rational(x: RatLike) -> Fraction:

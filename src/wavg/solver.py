@@ -3,13 +3,30 @@
 ``solve_enumerative`` builds the full payoff table over memoryless
 profiles and reads off maximin/minimax exactly.  ``check_memoryless``
 then searches for finite-memory deviations: against each opponent best
-response it enumerates the deviator's ultimately periodic plays with
-prefix+cycle length up to |Q| * mem_bound (the configuration bound of a
-mem_bound-state strategy), ordered by cycle length, then prefix length,
-then edge order.  Any play strictly beating the deviator's memoryless
-guarantee against every candidate-optimal opponent refutes memoryless
-optimality; an empty search is reported as a bounded no-witness, never
-as a proof.
+response it looks at the deviator's ultimately periodic plays with
+prefix+cycle length up to max_len = |Q| * mem_bound (the configuration
+bound of a mem_bound-state strategy), ordered by cycle length, then
+prefix length, then edge order.  Any play strictly beating the
+deviator's memoryless guarantee against every candidate-optimal opponent
+refutes memoryless optimality.
+
+The search takes one of two paths, chosen by the sequence class:
+
+* Convergent (ratio < 1) and ratio-1 sequences: the payoff of a lasso is
+  linear-fractional in its rewards, so "beats v" is the sign of a linear
+  form.  An integer best-walk DP over (position, state) and a
+  best-closed-walk DP per (cut class, cycle length, state) decide it in
+  O((m+p) * |Q| * |E| * max_len**2) steps for prefix length m and period
+  p, and a greedy rebuild returns the first witness in the order above.
+  One budget unit is one DP cell filled.
+* Growing sequences (ratio > 1): the maximizer improves only if every
+  phase limit of the play rises above v at once, a conjunction that does
+  not split into per-state optima, so every walk is enumerated and each
+  closed lasso evaluated exactly (memoized).  One budget unit is one
+  candidate lasso.
+
+Either way an empty search is reported as a bounded no-witness, never as
+a proof.
 """
 
 from __future__ import annotations
@@ -190,160 +207,287 @@ def _deviation_edges(g: GameGraph, deviator: int,
     return options
 
 
+def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
+    """Whether ``phi`` beats ``value`` for the deviator (1 maximizes)."""
+    return phi > value if deviator == 1 else phi < value
+
+
 def _scan_deviations(g: GameGraph, opponent: MemorylessStrategy, deviator: int,
-                     seq: CoeffSeq, mode: str, threshold: Fraction,
-                     improving: Callable[[Fraction], bool], max_len: int,
+                     seq: CoeffSeq, mode: str, value: Fraction, max_len: int,
                      budget_box: list[int],
-                     memo: dict) -> Optional[tuple[LassoWord, Fraction]]:
+                     cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
     """First improving bounded lasso play, ordered by (cycle, prefix, edges).
 
-    A single DFS over paths from the start visits every lasso with
-    prefix+cycle length up to max_len; among the improving ones, the
-    minimum of the (cycle length, prefix length, edge index path) key is
-    returned, which equals the first hit of an enumeration ordered that
-    way.
-
-    For block-length-1 sequences the candidate payoff has a constant-time
-    incremental form over running sums (cycle average for ratio 1,
-    truncated geometric series for ratio < 1 without a prefix), still in
-    exact arithmetic; other sequences fall back to the memoized
-    evaluator.  The returned payoff is re-checked against eval_exact.
+    The candidates are the deviator's plays against the fixed opponent
+    that close a cycle within ``max_len`` steps; among those whose payoff
+    beats ``value`` in the deviator's direction, the minimum of the (cycle
+    length, prefix length, edge index path) key is returned with its
+    payoff.  Convergent and ratio-1 sequences take the DP, growing ones
+    the enumerative walk.  ``cache`` lives for one check_memoryless call
+    and keeps slot weights (DP) or lasso values (walk).
     """
     options = _deviation_edges(g, deviator, opponent)
-    fast = None
-    if seq.period == 1:
-        if seq.ratio == 1:
-            fast = "slope"
-        elif seq.ratio < 1 and seq.prefix_len == 0:
-            fast = "series"
-    int_weights = all(e.weight.denominator == 1 for e in g.edges)
-    sign = 1 if improving(threshold + 1) else -1  # deviator's good direction
-    lam = seq.ratio
-
-    best: Optional[tuple[tuple, LassoWord, Fraction]] = None
-    path_states = [g.start]
-    rewards: list[Fraction] = []
-    edge_trail: list[int] = []
-
-    def record(cut: int, depth: int, phi: Fraction):
-        nonlocal best
-        key = (depth - cut, cut, tuple(edge_trail))
-        if best is None or key < best[0]:
-            best = (key, LassoWord(tuple(rewards[:cut]),
-                                   tuple(rewards[cut:])), phi)
 
     def spend(amount: int):
         budget_box[0] -= amount
         if budget_box[0] < 0:
             raise BudgetExceededError("deviation search exceeded its budget")
 
-    if fast == "slope" and int_weights:
-        # Cycle averages over integer rewards: a close at position i improves
-        # on the threshold v iff the shifted sum S_j*den - num*j grows (for
-        # the maximizer; shrinks for the minimizer) between the two visits,
-        # so one integer comparison per earlier visit of the same state
-        # decides everything and Fractions are only built on hits.
-        num, den = threshold.numerator, threshold.denominator
-        positive = sign > 0
-        steps = {
-            q: tuple((i, e.dst, e.weight, int(e.weight))
-                     for i, e in enumerate(options[q]))
-            for q in g.states
-        }
-        visits: dict[str, list[tuple[int, int]]] = {q: [] for q in g.states}
-        int_sums = [0]
-        push_state, pop_state = path_states.append, path_states.pop
-        push_reward, pop_reward = rewards.append, rewards.pop
-        push_trail, pop_trail = edge_trail.append, edge_trail.pop
-        push_sum, pop_sum = int_sums.append, int_sums.pop
-
-        def walk_fast(here: str, depth: int, total: int):
-            shifted = total * den - num * depth
-            seen_here = visits[here]
-            if seen_here:
-                spend(len(seen_here))
-                if positive:
-                    hit = any(shifted > earlier for earlier, _ in seen_here)
-                else:
-                    hit = any(shifted < earlier for earlier, _ in seen_here)
-                if hit:
-                    for earlier, i in seen_here:
-                        if (shifted > earlier if positive else shifted < earlier):
-                            record(i, depth, Fraction(
-                                total - int_sums[i], depth - i))
-            if depth >= max_len:
-                return
-            seen_here.append((shifted, depth))
-            for idx, dst, weight, int_weight in steps[here]:
-                push_state(dst)
-                push_reward(weight)
-                push_trail(idx)
-                push_sum(total + int_weight)
-                walk_fast(dst, depth + 1, total + int_weight)
-                pop_state()
-                pop_reward()
-                pop_trail()
-                pop_sum()
-            seen_here.pop()
-
-        walk_fast(g.start, 0, 0)
+    if analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED:
+        scan = _walk_scan
     else:
-        series_sums = [Fraction(0)]
-        lam_pows = [Fraction(1)]
-        plain_sums = [Fraction(0)]
+        scan = _dp_scan
+    return scan(g, options, deviator, seq, mode, value, max_len, spend, cache)
 
-        def candidate_value(cut: int, depth: int) -> Fraction:
-            if fast == "slope":
-                return (plain_sums[depth] - plain_sums[cut]) / (depth - cut)
-            if fast == "series":
-                head = series_sums[cut]
-                loop = series_sums[depth] - head
-                return (1 - lam) * (head + loop / (1 - lam_pows[depth - cut]))
+
+def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+               mode: str, value: Fraction, max_len: int, spend: Callable,
+               cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
+    """Enumerate every walk from the start up to ``max_len`` edges.
+
+    Each visit of a state already on the walk closes a candidate lasso,
+    evaluated exactly and memoized in ``cache``; one budget unit per
+    candidate.  The walk is depth-first over an explicit stack, so its
+    depth is not bounded by the interpreter's recursion limit.
+    """
+    best: Optional[tuple[tuple, LassoWord, Fraction]] = None
+    states = [g.start]
+    rewards: list[Fraction] = []
+    trail: list[int] = []
+    frames = [iter(enumerate(options[g.start]))]
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            frames.pop()
+            if trail:
+                states.pop()
+                rewards.pop()
+                trail.pop()
+            continue
+        idx, edge = step
+        here = edge.dst
+        states.append(here)
+        rewards.append(edge.weight)
+        trail.append(idx)
+        depth = len(rewards)
+        for cut in range(depth):
+            if states[cut] != here:
+                continue
+            spend(1)
             key_word = (tuple(rewards[:cut]), tuple(rewards[cut:]))
-            phi = memo.get(key_word)
+            phi = cache.get(key_word)
             if phi is None:
                 phi = eval_exact(seq, LassoWord(*key_word), mode).exact
-                memo[key_word] = phi
-            return phi
+                cache[key_word] = phi
+            if _improves(deviator, phi, value):
+                key = (depth - cut, cut, tuple(trail))
+                if best is None or key < best[0]:
+                    best = (key, LassoWord(*key_word), phi)
+        if depth < max_len:
+            frames.append(iter(enumerate(options[here])))
+        else:
+            states.pop()
+            rewards.pop()
+            trail.pop()
+    return None if best is None else (best[1], best[2])
 
-        def walk():
-            here = path_states[-1]
-            depth = len(rewards)
-            for i in range(depth):
-                if path_states[i] == here:
-                    spend(1)
-                    phi = candidate_value(i, depth)
-                    if improving(phi):
-                        record(i, depth, phi)
-            if depth >= max_len:
-                return
-            for idx, edge in enumerate(options[here]):
-                path_states.append(edge.dst)
-                rewards.append(edge.weight)
-                edge_trail.append(idx)
-                plain_sums.append(plain_sums[-1] + edge.weight)
-                series_sums.append(series_sums[-1] + lam_pows[-1] * edge.weight)
-                lam_pows.append(lam_pows[-1] * lam)
-                walk()
-                path_states.pop()
-                rewards.pop()
-                edge_trail.pop()
-                plain_sums.pop()
-                series_sums.pop()
-                lam_pows.pop()
 
-        walk()
+def _scaled(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integers over their least common denominator."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
-    if best is None:
-        return None
-    word, phi = best[1], best[2]
-    if fast is not None:
-        confirmed = eval_exact(seq, word, mode).exact
-        if confirmed != phi:
-            raise RuntimeError(
-                "incremental payoff disagrees with the exact evaluator")
-        phi = confirmed
-    return word, phi
+
+def _prefix_weights(seq: CoeffSeq, count: int) -> tuple[tuple[int, ...], int]:
+    """Weights of the first ``count`` positions: c_i for ratio < 1, and 0
+    for ratio 1, whose payoff ignores any finite prefix."""
+    if seq.ratio == 1:
+        return (0,) * count, 1
+    coeffs = seq.terms()
+    return _scaled([next(coeffs) for _ in range(count)])
+
+
+def _slot_weights(seq: CoeffSeq, first: int,
+                  length: int) -> tuple[tuple[int, ...], int]:
+    """Weights of the slots of a cycle of ``length`` entered at ``first``.
+
+    Slot j is read at positions n + t*length, n = first + j.  For ratio 1
+    the payoff is the slope over one super-period lcm(p, length), in which
+    slot j meets each block entry b_s with s = n - m mod gcd(p, length)
+    once.  For ratio < 1 the weight is the series of those coefficients:
+    the laps still in the sequence prefix, then whole super-periods summed
+    in closed form; past m + p it is ratio times the weight p slots back.
+    Scaled to integers by a common positive factor.
+    """
+    m, p, mu = seq.prefix_len, seq.period, seq.ratio
+    if mu == 1:
+        d = math.gcd(p, length)
+        shares, scale = _scaled([sum(seq.block[r::d], Fraction(0))
+                                 for r in range(d)])
+        return tuple(shares[(first + j - m) % d] for j in range(length)), scale
+    super_period = math.lcm(p, length)
+    laps = super_period // length
+    shrink = 1 - mu ** (super_period // p)
+    weights: list[Fraction] = []
+    for j in range(length):
+        n = first + j
+        if j >= p and n >= m + p:
+            weights.append(mu * weights[j - p])
+            continue
+        head = max(0, -((n - m) // length))
+        weight = sum((seq.term(n + t * length) for t in range(head)),
+                     Fraction(0))
+        window = sum((seq.term(n + t * length)
+                      for t in range(head, head + laps)), Fraction(0))
+        weights.append(weight + window / shrink)
+    return _scaled(weights)
+
+
+def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
+    """One forward DP step: the best score of each state one edge on."""
+    out: dict = {}
+    for here, score in layer.items():
+        for _, dst, gain in steps[here]:
+            total = score + weight * gain
+            old = out.get(dst)
+            if old is None or total > old:
+                out[dst] = total
+    spend(len(out))
+    return out
+
+
+def _closed_walks(steps: dict, weights, starts, spend: Callable) -> dict:
+    """Best score of a closed walk of len(weights) steps at each start."""
+    best = {}
+    for q in starts:
+        layer = {q: 0}
+        for weight in weights:
+            layer = _relax(layer, steps, weight, spend)
+        if q in layer:
+            best[q] = layer[q]
+    return best
+
+
+def _first_walk(options: dict, steps: dict, start: str, weights, score: int,
+                ends: dict, spend: Callable) -> tuple[tuple, str, int]:
+    """The edge-index-first walk of len(weights) steps with a positive score.
+
+    Step k scores weights[k] times its edge gain, on top of ``score``;
+    the walk must stop in a state of ``ends``, whose value is added.  A
+    backward DP gives the best completion from every (step, state), and
+    the walk takes the first edge whose best completion stays positive.
+    Returns the rewards, the end state and the score without the end.
+    """
+    completions = [ends]
+    for weight in reversed(weights):
+        later = completions[-1]
+        best: dict = {}
+        for here, moves in steps.items():
+            for _, dst, gain in moves:
+                if dst in later:
+                    total = weight * gain + later[dst]
+                    if here not in best or total > best[here]:
+                        best[here] = total
+        spend(len(best))
+        completions.append(best)
+    completions.reverse()
+    rewards, here = [], start
+    for k, weight in enumerate(weights):
+        later = completions[k + 1]
+        for idx, dst, gain in steps[here]:
+            if dst in later and score + weight * gain + later[dst] > 0:
+                break
+        else:
+            raise RuntimeError("deviation DP lost its witness")
+        score += weight * gain
+        rewards.append(options[here][idx].weight)
+        here = dst
+    return tuple(rewards), here, score
+
+
+def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+             mode: str, value: Fraction, max_len: int, spend: Callable,
+             cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
+    """Best-walk DP for the convergent and ratio-1 classes.
+
+    The payoff of x u^w is linear-fractional in the rewards: position i<cut
+    weighs c_i (0 under ratio 1) and cycle slot j weighs beta_j from
+    _slot_weights, over a total of fixed sign.  So beating ``value`` is
+    the sign of sum c_i (x_i - v) + sum beta_j (u_j - v), which splits into
+    a best prefix walk to each state q and a best closed walk at q.  For
+    cut >= m the weights of cut and of its class m + (cut-m) mod p differ
+    by the factor ratio**laps, so one closed-walk DP serves each (class,
+    cycle length).  Scores are integers; one budget unit per DP cell.
+    Scanning cycle length, then cut, then rebuilding the walk greedily by
+    edge index gives the same first witness as enumerating every walk.
+    """
+    an = analyze(seq)
+    convergent = an.classification is Classification.CONVERGENT
+    total = an.series_sum if convergent else sum(seq.block, Fraction(0))
+    sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
+    unit = math.lcm(value.denominator, *(e.weight.denominator for e in g.edges))
+    level = value.numerator * (unit // value.denominator)
+    steps = {q: tuple((idx, e.dst, sign * (e.weight.numerator * (
+                          unit // e.weight.denominator) - level))
+                      for idx, e in enumerate(es))
+             for q, es in options.items()}
+
+    m, p, mu = seq.prefix_len, seq.period, seq.ratio
+    prefix_weights, prefix_scale = _prefix_weights(seq, max_len)
+
+    # classes[cut] = (first position of its class, ratio**laps as num, den)
+    classes = []
+    for cut in range(max_len):
+        laps, residue = divmod(cut - m, p)
+        if not convergent:
+            classes.append((m + residue, 1, 1))
+        elif cut < m:
+            classes.append((cut, 1, 1))
+        else:
+            classes.append((m + residue, mu.numerator ** laps,
+                            mu.denominator ** laps))
+
+    reach = [{g.start: 0}]
+    for k in range(max_len - 1):
+        reach.append(_relax(reach[-1], steps, prefix_weights[k], spend))
+
+    for length in range(1, max_len + 1):
+        last_cut = max_len - length
+        closed: dict = {}
+        for cut in range(last_cut + 1):
+            first, num, den = classes[cut]
+            if first not in closed:
+                starts: dict = {}
+                for c in range(cut, last_cut + 1):
+                    if classes[c][0] == first:
+                        starts.update(reach[c])
+                if (first, length) not in cache:
+                    cache[first, length] = _slot_weights(seq, first, length)
+                betas, slot_scale = cache[first, length]
+                closed[first] = (betas, slot_scale,
+                                 _closed_walks(steps, betas, starts, spend))
+            betas, slot_scale, best = closed[first]
+            head_scale, loop_scale = den * slot_scale, num * prefix_scale
+            for q, score in reach[cut].items():
+                end = best.get(q)
+                if end is not None and score * head_scale + end * loop_scale > 0:
+                    break
+            else:
+                continue
+            ends = {q: best[q] * loop_scale for q in reach[cut] if q in best}
+            head, q, score = _first_walk(
+                options, steps, g.start,
+                [w * head_scale for w in prefix_weights[:cut]], 0, ends, spend)
+            loop, _, _ = _first_walk(
+                options, steps, q, [b * loop_scale for b in betas], score,
+                {q: 0}, spend)
+            word = LassoWord(head, loop)
+            phi = eval_exact(seq, word, mode).exact
+            if not _improves(deviator, phi, value):
+                raise RuntimeError(
+                    "deviation DP disagrees with the exact evaluator")
+            return word, phi
+    return None
 
 
 def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
@@ -375,7 +519,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     value = maximin
     max_len = len(g.states) * mem_bound
     budget_box = [budget]
-    memo: dict = {}
+    cache: dict = {}
     row_mins = [min(row) for row in report.table]
     col_maxs = [max(report.table[i][j] for i in range(len(report.p1_strategies)))
                 for j in range(len(report.p2_strategies))]
@@ -385,16 +529,14 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         if deviator == 1:
             responses = [pi for j, pi in enumerate(report.p2_strategies)
                          if col_maxs[j] == value]
-            improving = lambda phi: phi > value
         else:
             responses = [sigma for i, sigma in enumerate(report.p1_strategies)
                          if row_mins[i] == value]
-            improving = lambda phi: phi < value
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:
             found = _scan_deviations(g, response, deviator, seq, mode, value,
-                                     improving, max_len, budget_box, memo)
+                                     max_len, budget_box, cache)
             if found is None:
                 beats_every_response = False
                 break

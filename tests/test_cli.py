@@ -48,6 +48,18 @@ class TestEvalWord:
                            "--word", "cycle=1")
         assert code == 2
 
+    def test_zero_denominator_in_sequence(self, capsys):
+        code, _, err = run(capsys, "eval-word", "--seq", "geom:1/0",
+                           "--word", "cycle=1")
+        assert code == 2
+        assert "zero denominator" in err
+
+    def test_zero_denominator_in_word(self, capsys):
+        code, _, err = run(capsys, "eval-word", "--seq", "mean",
+                           "--word", "cycle=1/0")
+        assert code == 2
+        assert "zero denominator" in err
+
     def test_limsup_flag(self, capsys):
         code, out, _ = run(capsys, "eval-word", "--seq", "geom:2",
                            "--word", "cycle=1,2,0,4", "--limsup")
@@ -103,6 +115,19 @@ class TestCheckMemoryless:
                            "blocks:1,1/2;mu=1/8")
         assert code == 1
         assert "151/48" in out
+
+    def test_builtin_gadget_arity(self, capsys):
+        code, _, err = run(capsys, "check-memoryless", "--game",
+                           "builtin:detour:1", "--seq", "mean")
+        assert code == 2
+        assert "expected 3" in err
+
+    def test_long_walks_do_not_recurse(self, capsys):
+        code, out, _ = run(capsys, "check-memoryless", "--game",
+                           "builtin:loops:1", "--seq", "mean",
+                           "--mem-bound", "1500")
+        assert code == 0
+        assert "no-witness-up-to-bound" in out
 
 
 class TestFindWitnessAndMonotone:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavg import (CoeffSeq, LassoWord, PayoffValue, RawCoeffTable,
@@ -87,12 +87,17 @@ class TestEvalExact:
 
     @settings(max_examples=40)
     @given(block_sequences(), lassos(max_prefix=3, max_cycle=3))
+    @example(CoeffSeq((), (1, 0), 1), parse_lasso("prefix=0;cycle=0,1"))
     def test_prefix_independence_of_divergent_classes(self, seq, word):
         if not supports_exact(seq):
             return
         if analyze(seq).series_sum is not None:
             return  # convergent payoffs do depend on prefixes
-        stripped = LassoWord((), word.cycle)
+        # A prefix shifts the block phase against the cycle, so only a
+        # leading part whose length is a multiple of the period may go:
+        # with block (1,0), prefix=0;cycle=0,1 is worth 1 and cycle=0,1 0.
+        kept = word.prefix_len % seq.period
+        stripped = LassoWord(word.prefix[word.prefix_len - kept:], word.cycle)
         assert (eval_exact(seq, word).exact
                 == eval_exact(seq, stripped).exact)
 

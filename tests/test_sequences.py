@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavg import (Classification, CoeffSeq, RawCoeffTable,
@@ -167,21 +167,28 @@ class TestAnalyze:
 
     @settings(max_examples=40)
     @given(block_sequences())
+    @example(CoeffSeq((1,), (0, 0, 1), F(9, 10)))
     def test_even_odd_sums_against_truncation(self, seq):
         an = analyze(seq)
         if an.classification is not Classification.CONVERGENT:
             return
+        horizon = 400
         even = odd = F(0)
         terms = seq.terms()
-        for i in range(400):
+        for i in range(horizon):
             c = next(terms)
             if i % 2 == 0:
                 even += c
             else:
                 odd += c
-        tol = F(1, 10) ** 6 + abs(seq.term(400)) * 50
-        assert abs(even - an.even_sum) <= tol
-        assert abs(odd - an.odd_sum) <= tol
+        # Every term past the horizon lies in block repetition t >= laps,
+        # whose entries are at most |b_j| * mu**t, so the dropped tail of
+        # either parity is at most sum|b_j| * mu**laps / (1 - mu).
+        laps = (horizon - seq.prefix_len) // seq.period
+        tail = (sum(abs(b) for b in seq.block) * seq.ratio ** laps
+                / (1 - seq.ratio))
+        assert abs(even - an.even_sum) <= tail
+        assert abs(odd - an.odd_sum) <= tail
 
 
 class TestGeometricRatio:

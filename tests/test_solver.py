@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavg import (BudgetExceededError, CoeffSeq, UnsupportedSequenceError,
-                  VerdictKind, check_memoryless, cycle_choice_gadget,
-                  detour_gadget, discounted, escape_gadget, eval_approx,
-                  eval_exact, find_witness_sequence_failure, geometric, lasso,
+from wavg import (LIMINF, BudgetExceededError, CoeffSeq,
+                  UnsupportedSequenceError, VerdictKind, check_memoryless,
+                  cycle_choice_gadget, detour_gadget, discounted,
+                  enumerate_memoryless, escape_gadget, eval_approx, eval_exact,
+                  find_witness_sequence_failure, geometric, lasso,
                   loops_gadget, mean_sequence, monotone_falsify, parse_sequence,
                   random_game, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
+from wavg import solver
 
 F = Fraction
 
@@ -174,6 +176,69 @@ class TestCheckMemoryless:
         assert verdict.kind is VerdictKind.WITNESS_FOUND
         assert verdict.witness.deviating_payoff == F(14, 15)
         assert verdict.witness.player == 2
+
+
+# The DP deviation search against the enumerative walk, both deviators,
+# every opponent strategy.  Besides the benchmark classes: a negative series
+# total and a negative block sum (the sign of the linear form flips), a
+# finite support (ratio 0) and sequence prefixes longer than some cuts.
+ORACLE_SEEDS = range(20)
+ORACLE_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
+                  "blocks:1,2,3;mu=1", "blocks:1,1/2;mu=1/8;prefix=3,1",
+                  "blocks:3,-1;mu=1/2", "blocks:-2,1;mu=1/2",
+                  "blocks:-1,-2;mu=1", "blocks:1,2;mu=0",
+                  "blocks:1;mu=1/2;prefix=1,-2,3",
+                  "blocks:1,2;mu=1;prefix=5,0,1"]
+
+
+def _oracle_game(seed):
+    return random_game(seed, max_states=5, max_out_degree=2)
+
+
+def _oracle_scans(g, seq):
+    """(deviator, opponent, threshold) for the worst and the best memoryless
+    reply of the deviator to each opponent strategy."""
+    table = solve_enumerative(g, seq).table
+    for deviator in (1, 2):
+        if not g.owned_states(deviator):
+            continue
+        for j, opponent in enumerate(enumerate_memoryless(g, 3 - deviator)):
+            replies = [row[j] for row in table] if deviator == 1 else table[j]
+            for threshold in sorted({min(replies), max(replies)}):
+                yield deviator, opponent, threshold
+
+
+def _scan(g, seq, deviator, opponent, threshold, walk):
+    options = solver._deviation_edges(g, deviator, opponent)
+    scan = solver._walk_scan if walk else solver._dp_scan
+    return scan(g, options, deviator, seq, LIMINF, threshold,
+                2 * len(g.states), lambda amount: None, {})
+
+
+class TestDeviationSearchOracle:
+    @pytest.mark.parametrize("spec", ORACLE_CLASSES)
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    def test_dp_matches_enumeration(self, seed, spec, monkeypatch):
+        g, seq = _oracle_game(seed), parse_sequence(spec)
+        for deviator, opponent, threshold in _oracle_scans(g, seq):
+            assert (_scan(g, seq, deviator, opponent, threshold, walk=False)
+                    == _scan(g, seq, deviator, opponent, threshold, walk=True))
+        dp = check_memoryless(g, seq, mem_bound=2)
+        monkeypatch.setattr(solver, "_dp_scan", solver._walk_scan)
+        assert dp == check_memoryless(g, seq, mem_bound=2)
+
+    @pytest.mark.parametrize("spec", ORACLE_CLASSES)
+    def test_oracle_cases_hold_witnesses(self, spec):
+        seq = parse_sequence(spec)
+        players = []
+        for seed in ORACLE_SEEDS:
+            g = _oracle_game(seed)
+            players += [deviator for deviator, opponent, threshold
+                        in _oracle_scans(g, seq)
+                        if _scan(g, seq, deviator, opponent, threshold,
+                                 walk=False) is not None]
+        assert len(players) >= 10
+        assert set(players) == {1, 2}
 
 
 class TestCycleChoiceCoincidence:
