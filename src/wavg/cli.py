@@ -2,7 +2,7 @@
 
 Commands: eval-word, solve, check-memoryless, find-witness, monotone,
 verify-paper.  Exit codes: 0 success / no witness, 1 witness found (or
-failed verification), 2 input error, 3 budget exceeded.
+failed verification), 2 input error, 3 budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _rewards(args: str, count: int) -> list:
@@ -74,10 +75,6 @@ def _mode(args) -> str:
     return payoff.LIMSUP if args.limsup else args.mode
 
 
-def _fr(x) -> str:
-    return str(x)
-
-
 def _word(xs) -> str:
     return "(" + ",".join(str(x) for x in xs) + ")"
 
@@ -115,9 +112,9 @@ def cmd_eval_word(args) -> int:
             "seed": args.seed,
         }
         if value.exact is not None:
-            doc["exact"] = _fr(value.exact)
+            doc["exact"] = str(value.exact)
         else:
-            doc["bracket"] = [_fr(value.bracket[0]), _fr(value.bracket[1])]
+            doc["bracket"] = [str(value.bracket[0]), str(value.bracket[1])]
             doc["horizon"] = value.horizon_used
         notes = _generalization_notes(seq)
         if notes:
@@ -139,8 +136,8 @@ def cmd_solve(args) -> int:
             "instance": _instance_hash(games.serialize_game(g), args.seq, mode),
             "sequence": args.seq,
             "mode": mode,
-            "maximin": _fr(report.maximin.exact),
-            "minimax": _fr(report.minimax.exact),
+            "maximin": str(report.maximin.exact),
+            "minimax": str(report.minimax.exact),
             "saddle": report.saddle,
             "p1_optimal": report.p1_optimal.describe(),
             "p2_optimal": report.p2_optimal.describe(),
@@ -178,8 +175,8 @@ def cmd_check_memoryless(args) -> int:
         if witness is not None:
             doc["witness"] = {
                 "description": witness.description,
-                "deviating_payoff": _fr(witness.deviating_payoff),
-                "memoryless_payoff": _fr(witness.memoryless_payoff),
+                "deviating_payoff": str(witness.deviating_payoff),
+                "memoryless_payoff": str(witness.memoryless_payoff),
             }
         notes = _generalization_notes(seq)
         if notes:
@@ -215,18 +212,18 @@ def cmd_find_witness(args) -> int:
             doc["game"] = games.serialize_game(report.game)
             doc["witness"] = {
                 "description": report.verdict.witness.description,
-                "deviating_payoff": _fr(report.verdict.witness.deviating_payoff),
-                "memoryless_payoff": _fr(report.verdict.witness.memoryless_payoff),
+                "deviating_payoff": str(report.verdict.witness.deviating_payoff),
+                "memoryless_payoff": str(report.verdict.witness.memoryless_payoff),
             }
         if report.monotonicity is not None:
             w = report.monotonicity
             doc["monotonicity_witness"] = {
-                "x": [_fr(a) for a in w.x],
-                "y": [_fr(a) for a in w.y],
+                "x": [str(a) for a in w.x],
+                "y": [str(a) for a in w.y],
                 "u": format_lasso(w.u),
                 "v": format_lasso(w.v),
-                "values": [_fr(w.phi_xu), _fr(w.phi_xv),
-                           _fr(w.phi_yu), _fr(w.phi_yv)],
+                "values": [str(w.phi_xu), str(w.phi_xv),
+                           str(w.phi_yu), str(w.phi_yv)],
             }
         _emit(doc, args)
     else:
@@ -258,7 +255,7 @@ def cmd_monotone(args) -> int:
             "command": "monotone",
             "sequence": args.seq,
             "mode": mode,
-            "alphabet": [_fr(a) for a in alphabet],
+            "alphabet": [str(a) for a in alphabet],
             "max_prefix": args.max_prefix,
             "max_cycle": args.max_cycle,
             "witness_found": witness is not None,
@@ -266,12 +263,12 @@ def cmd_monotone(args) -> int:
         }
         if witness is not None:
             doc["witness"] = {
-                "x": [_fr(a) for a in witness.x],
-                "y": [_fr(a) for a in witness.y],
+                "x": [str(a) for a in witness.x],
+                "y": [str(a) for a in witness.y],
                 "u": format_lasso(witness.u),
                 "v": format_lasso(witness.v),
-                "values": [_fr(witness.phi_xu), _fr(witness.phi_xv),
-                           _fr(witness.phi_yu), _fr(witness.phi_yv)],
+                "values": [str(witness.phi_xu), str(witness.phi_xv),
+                           str(witness.phi_yu), str(witness.phi_yv)],
             }
         _emit(doc, args)
     else:
@@ -392,6 +389,9 @@ def main(argv=None) -> int:
     except (InputError, UnsupportedSequenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -47,10 +47,6 @@ def as_rational(x: RatLike) -> Fraction:
     raise SequenceFormatError(f"cannot interpret {x!r} as a rational")
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
 @dataclass(frozen=True)
 class CoeffSeq:
     """A coefficient sequence in block-geometric normal form.
@@ -389,7 +385,7 @@ def parse_sequence(text: str) -> Union[CoeffSeq, RawCoeffTable]:
 def format_sequence(seq: Union[CoeffSeq, RawCoeffTable]) -> str:
     """Render a sequence as a spec string accepted by parse_sequence."""
     if isinstance(seq, RawCoeffTable):
-        return "table:" + ",".join(_rat_str(c) for c in seq.values)
+        return "table:" + ",".join(str(c) for c in seq.values)
     if not seq.prefix and seq.block == (Fraction(1),):
         if seq.ratio == 1:
             return "mean"
@@ -397,8 +393,8 @@ def format_sequence(seq: Union[CoeffSeq, RawCoeffTable]) -> str:
             return f"disc:{seq.ratio}"
         if seq.ratio > 0:
             return f"geom:{seq.ratio}"
-    spec = "blocks:" + ",".join(_rat_str(b) for b in seq.block)
+    spec = "blocks:" + ",".join(str(b) for b in seq.block)
     spec += f";mu={seq.ratio}"
     if seq.prefix:
-        spec += ";prefix=" + ",".join(_rat_str(c) for c in seq.prefix)
+        spec += ";prefix=" + ",".join(str(c) for c in seq.prefix)
     return spec

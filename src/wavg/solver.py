@@ -19,11 +19,13 @@ The search takes one of two paths, chosen by the sequence class:
   O((m+p) * |Q| * |E| * max_len**2) steps for prefix length m and period
   p, and a greedy rebuild returns the first witness in the order above.
   One budget unit is one DP cell filled.
-* Growing sequences (ratio > 1): the maximizer improves only if every
-  phase limit of the play rises above v at once, a conjunction that does
-  not split into per-state optima, so every walk is enumerated and each
-  closed lasso evaluated exactly (memoized).  One budget unit is one
-  candidate lasso.
+* Growing sequences (ratio a/b > 1, block length 1): the maximizer
+  improves only if every phase limit of the play rises above v at once, a
+  conjunction that does not split into per-state optima, so every walk is
+  enumerated.  A closed lasso's payoff is the min (liminf) or max
+  (limsup) of its cycle's rotation averages, so "beats v" is an integer
+  sign test on the cycle alone, memoized per cycle; only the winning
+  lasso is evaluated exactly.  One budget unit is one cycle symbol.
 
 Either way an empty search is reported as a bounded no-witness, never as
 a proof.
@@ -224,7 +226,7 @@ def _scan_deviations(g: GameGraph, opponent: MemorylessStrategy, deviator: int,
     length, prefix length, edge index path) key is returned with its
     payoff.  Convergent and ratio-1 sequences take the DP, growing ones
     the enumerative walk.  ``cache`` lives for one check_memoryless call
-    and keeps slot weights (DP) or lasso values (walk).
+    and keeps slot weights (DP) or rotation signs per cycle (walk).
     """
     options = _deviation_edges(g, deviator, opponent)
 
@@ -240,19 +242,61 @@ def _scan_deviations(g: GameGraph, opponent: MemorylessStrategy, deviator: int,
     return scan(g, options, deviator, seq, mode, value, max_len, spend, cache)
 
 
+def _edge_gains(g: GameGraph, options: dict,
+                value: Fraction) -> dict[str, tuple[int, ...]]:
+    """Per-state integer gains U - V of the candidate edges: each reward
+    and ``value`` scaled to integers over one common positive unit."""
+    unit = math.lcm(value.denominator, *(e.weight.denominator for e in g.edges))
+    level = value.numerator * (unit // value.denominator)
+    return {q: tuple(e.weight.numerator * (unit // e.weight.denominator) - level
+                     for e in es)
+            for q, es in options.items()}
+
+
+def _rotation_sign(a: int, b: int, gains: tuple[int, ...],
+                   extreme: Callable) -> int:
+    """Sign of phi - v for a cycle under ratio a/b > 1 and block length 1.
+
+    phi is the extreme rotation average of the cycle.  Rotation i minus v,
+    times the positive b**(L-1) * sum(ratio**j) * unit, is the integer
+    s_i = sum_j a**j * b**(L-1-j) * d_(i+j mod L) over the gains d, and
+    a * s_(i+1) = b * s_i + (a**L - b**L) * d_i.
+    """
+    score, top = 0, 1
+    for d in gains:
+        score = score * b + top * d
+        top *= a
+    shift = top - b ** len(gains)
+    scores = [score]
+    for d in gains[:-1]:
+        score = (b * score + shift * d) // a
+        scores.append(score)
+    best = extreme(scores)
+    return (best > 0) - (best < 0)
+
+
 def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                mode: str, value: Fraction, max_len: int, spend: Callable,
                cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
     """Enumerate every walk from the start up to ``max_len`` edges.
 
-    Each visit of a state already on the walk closes a candidate lasso,
-    evaluated exactly and memoized in ``cache``; one budget unit per
-    candidate.  The walk is depth-first over an explicit stack, so its
-    depth is not bounded by the interpreter's recursion limit.
+    Only the growing class comes here, and only with block length 1, so
+    the payoff of x u^w is the min (liminf) or max (limsup) of the
+    rotation averages of u alone.  Each visit of a state already on the
+    walk closes a candidate lasso, decided by _rotation_sign on the
+    cycle's integer gains, memoized per cycle in ``cache``; a candidate
+    costs its cycle length in budget units.  The winning lasso is
+    confirmed by one exact evaluation.  The walk is depth-first over an
+    explicit stack, so its depth is not bounded by the recursion limit.
     """
-    best: Optional[tuple[tuple, LassoWord, Fraction]] = None
+    a, b = seq.ratio.numerator, seq.ratio.denominator
+    extreme = min if mode == LIMINF else max
+    wanted = 1 if deviator == 1 else -1
+    edge_gains = _edge_gains(g, options, value)
+    best: Optional[tuple[tuple, LassoWord]] = None
     states = [g.start]
     rewards: list[Fraction] = []
+    gains: list[int] = []
     trail: list[int] = []
     frames = [iter(enumerate(options[g.start]))]
     while frames:
@@ -262,9 +306,11 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             if trail:
                 states.pop()
                 rewards.pop()
+                gains.pop()
                 trail.pop()
             continue
         idx, edge = step
+        gains.append(edge_gains[states[-1]][idx])
         here = edge.dst
         states.append(here)
         rewards.append(edge.weight)
@@ -273,23 +319,31 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         for cut in range(depth):
             if states[cut] != here:
                 continue
-            spend(1)
-            key_word = (tuple(rewards[:cut]), tuple(rewards[cut:]))
-            phi = cache.get(key_word)
-            if phi is None:
-                phi = eval_exact(seq, LassoWord(*key_word), mode).exact
-                cache[key_word] = phi
-            if _improves(deviator, phi, value):
+            spend(depth - cut)
+            cycle = tuple(gains[cut:])
+            sign = cache.get(cycle)
+            if sign is None:
+                sign = _rotation_sign(a, b, cycle, extreme)
+                cache[cycle] = sign
+            if sign == wanted:
                 key = (depth - cut, cut, tuple(trail))
                 if best is None or key < best[0]:
-                    best = (key, LassoWord(*key_word), phi)
+                    best = (key, LassoWord(tuple(rewards[:cut]),
+                                           tuple(rewards[cut:])))
         if depth < max_len:
             frames.append(iter(enumerate(options[here])))
         else:
             states.pop()
             rewards.pop()
+            gains.pop()
             trail.pop()
-    return None if best is None else (best[1], best[2])
+    if best is None:
+        return None
+    word = best[1]
+    phi = eval_exact(seq, word, mode).exact
+    if not _improves(deviator, phi, value):
+        raise RuntimeError("rotation sign test disagrees with the exact evaluator")
+    return word, phi
 
 
 def _scaled(values) -> tuple[tuple[int, ...], int]:
@@ -425,11 +479,9 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     convergent = an.classification is Classification.CONVERGENT
     total = an.series_sum if convergent else sum(seq.block, Fraction(0))
     sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
-    unit = math.lcm(value.denominator, *(e.weight.denominator for e in g.edges))
-    level = value.numerator * (unit // value.denominator)
-    steps = {q: tuple((idx, e.dst, sign * (e.weight.numerator * (
-                          unit // e.weight.denominator) - level))
-                      for idx, e in enumerate(es))
+    gains = _edge_gains(g, options, value)
+    steps = {q: tuple((idx, e.dst, sign * d)
+                      for idx, (e, d) in enumerate(zip(es, gains[q])))
              for q, es in options.items()}
 
     m, p, mu = seq.prefix_len, seq.period, seq.ratio

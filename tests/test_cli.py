@@ -1,12 +1,13 @@
 """CLI surface: commands, exit codes, structured output."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 import wavg.payoff
-from wavg import serialize_game, two_branch_gadget
+from wavg import serialize_game, solver, two_branch_gadget
 from wavg.cli import main
 
 F = Fraction
@@ -128,6 +129,26 @@ class TestCheckMemoryless:
                            "--mem-bound", "1500")
         assert code == 0
         assert "no-witness-up-to-bound" in out
+
+    def test_budget_bounds_long_growing_walks(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check-memoryless", "--game",
+                           "builtin:loops:1", "--seq", "geom:2",
+                           "--mem-bound", "1500")
+        assert code == 3
+        assert "budget" in err
+        assert time.perf_counter() - start < 5
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("solver fault")
+
+        monkeypatch.setattr(solver, "check_memoryless", broken)
+        code, out, err = run(capsys, "check-memoryless", "--game",
+                             "builtin:two-branch", "--seq", "geom:2")
+        assert code == 4
+        assert out == ""
+        assert "internal error" in err and "solver fault" in err
 
 
 class TestFindWitnessAndMonotone:

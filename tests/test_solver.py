@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavg import (LIMINF, BudgetExceededError, CoeffSeq,
+from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq,
                   UnsupportedSequenceError, VerdictKind, check_memoryless,
                   cycle_choice_gadget, detour_gadget, discounted,
                   enumerate_memoryless, escape_gadget, eval_approx, eval_exact,
                   find_witness_sequence_failure, geometric, lasso,
-                  loops_gadget, mean_sequence, monotone_falsify, parse_sequence,
-                  random_game, solve_enumerative, two_branch_gadget,
-                  value_iter_disc, value_iter_mean)
+                  LassoWord, loops_gadget, mean_sequence, monotone_falsify,
+                  parse_sequence, random_game, solve_enumerative,
+                  two_branch_gadget, value_iter_disc, value_iter_mean)
 from wavg import solver
 
 F = Fraction
@@ -178,8 +178,52 @@ class TestCheckMemoryless:
         assert verdict.witness.player == 2
 
 
-# The DP deviation search against the enumerative walk, both deviators,
-# every opponent strategy.  Besides the benchmark classes: a negative series
+def _reference_scan(g, options, deviator, seq, mode, value, max_len, spend,
+                    cache):
+    """Every walk from the start up to ``max_len`` edges, each closed lasso
+    evaluated exactly: the reference that both deviation searches match.
+
+    Takes the arguments of solver._dp_scan and solver._walk_scan, so it can
+    stand in for either, and charges each candidate its cycle length.
+    """
+    best = None
+    states, rewards, trail = [g.start], [], []
+    frames = [iter(enumerate(options[g.start]))]
+    while frames:
+        step = next(frames[-1], None)
+        if step is None:
+            frames.pop()
+            if trail:
+                states.pop()
+                rewards.pop()
+                trail.pop()
+            continue
+        idx, edge = step
+        states.append(edge.dst)
+        rewards.append(edge.weight)
+        trail.append(idx)
+        depth = len(rewards)
+        for cut in range(depth):
+            if states[cut] != edge.dst:
+                continue
+            spend(depth - cut)
+            word = LassoWord(tuple(rewards[:cut]), tuple(rewards[cut:]))
+            phi = eval_exact(seq, word, mode).exact
+            if solver._improves(deviator, phi, value):
+                key = (depth - cut, cut, tuple(trail))
+                if best is None or key < best[0]:
+                    best = (key, word, phi)
+        if depth < max_len:
+            frames.append(iter(enumerate(options[edge.dst])))
+        else:
+            states.pop()
+            rewards.pop()
+            trail.pop()
+    return None if best is None else (best[1], best[2])
+
+
+# The DP deviation search against the reference, both deviators, every
+# opponent strategy.  Besides the benchmark classes: a negative series
 # total and a negative block sum (the sign of the linear form flips), a
 # finite support (ratio 0) and sequence prefixes longer than some cuts.
 ORACLE_SEEDS = range(20)
@@ -189,16 +233,20 @@ ORACLE_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
                   "blocks:-1,-2;mu=1", "blocks:1,2;mu=0",
                   "blocks:1;mu=1/2;prefix=1,-2,3",
                   "blocks:1,2;mu=1;prefix=5,0,1"]
+# The growing-class walk against the reference: integer and fractional
+# ratios, a negative block and a sequence prefix, which the payoff ignores.
+GROWING_CLASSES = ["geom:2", "geom:3/2", "geom:3", "blocks:-1;mu=2",
+                   "blocks:2;mu=3;prefix=5,-2,1"]
 
 
 def _oracle_game(seed):
     return random_game(seed, max_states=5, max_out_degree=2)
 
 
-def _oracle_scans(g, seq):
+def _oracle_scans(g, seq, mode=LIMINF):
     """(deviator, opponent, threshold) for the worst and the best memoryless
     reply of the deviator to each opponent strategy."""
-    table = solve_enumerative(g, seq).table
+    table = solve_enumerative(g, seq, mode=mode).table
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
@@ -208,10 +256,9 @@ def _oracle_scans(g, seq):
                 yield deviator, opponent, threshold
 
 
-def _scan(g, seq, deviator, opponent, threshold, walk):
+def _scan(scan, g, seq, deviator, opponent, threshold, mode=LIMINF):
     options = solver._deviation_edges(g, deviator, opponent)
-    scan = solver._walk_scan if walk else solver._dp_scan
-    return scan(g, options, deviator, seq, LIMINF, threshold,
+    return scan(g, options, deviator, seq, mode, threshold,
                 2 * len(g.states), lambda amount: None, {})
 
 
@@ -221,10 +268,12 @@ class TestDeviationSearchOracle:
     def test_dp_matches_enumeration(self, seed, spec, monkeypatch):
         g, seq = _oracle_game(seed), parse_sequence(spec)
         for deviator, opponent, threshold in _oracle_scans(g, seq):
-            assert (_scan(g, seq, deviator, opponent, threshold, walk=False)
-                    == _scan(g, seq, deviator, opponent, threshold, walk=True))
+            assert (_scan(solver._dp_scan, g, seq, deviator, opponent,
+                          threshold)
+                    == _scan(_reference_scan, g, seq, deviator, opponent,
+                             threshold))
         dp = check_memoryless(g, seq, mem_bound=2)
-        monkeypatch.setattr(solver, "_dp_scan", solver._walk_scan)
+        monkeypatch.setattr(solver, "_dp_scan", _reference_scan)
         assert dp == check_memoryless(g, seq, mem_bound=2)
 
     @pytest.mark.parametrize("spec", ORACLE_CLASSES)
@@ -235,10 +284,31 @@ class TestDeviationSearchOracle:
             g = _oracle_game(seed)
             players += [deviator for deviator, opponent, threshold
                         in _oracle_scans(g, seq)
-                        if _scan(g, seq, deviator, opponent, threshold,
-                                 walk=False) is not None]
+                        if _scan(solver._dp_scan, g, seq, deviator, opponent,
+                                 threshold) is not None]
         assert len(players) >= 10
         assert set(players) == {1, 2}
+
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    @pytest.mark.parametrize("spec", GROWING_CLASSES)
+    def test_walk_matches_enumeration(self, spec, mode, monkeypatch):
+        seq = parse_sequence(spec)
+        games = [_oracle_game(seed) for seed in ORACLE_SEEDS]
+        players = []
+        for g in games:
+            for deviator, opponent, threshold in _oracle_scans(g, seq, mode):
+                found = _scan(solver._walk_scan, g, seq, deviator, opponent,
+                              threshold, mode)
+                assert found == _scan(_reference_scan, g, seq, deviator,
+                                      opponent, threshold, mode)
+                if found is not None:
+                    players.append(deviator)
+        assert players.count(1) >= 5 and players.count(2) >= 5
+        walk = [check_memoryless(g, seq, mem_bound=2, mode=mode)
+                for g in games]
+        monkeypatch.setattr(solver, "_walk_scan", _reference_scan)
+        assert walk == [check_memoryless(g, seq, mem_bound=2, mode=mode)
+                        for g in games]
 
 
 class TestCycleChoiceCoincidence:
