@@ -79,14 +79,25 @@ def _word(xs) -> str:
     return "(" + ",".join(str(x) for x in xs) + ")"
 
 
-def _generalization_notes(seq) -> list[str]:
-    """Caveats attached to structured reports for adopted extensions."""
-    if (isinstance(seq, sequences.CoeffSeq) and seq.period == 1
-            and seq.ratio > 1 and seq.ratio.denominator != 1):
-        return ["rotation-average evaluation extends the integer-growth "
-                "case to all rational ratios > 1; cross-checked against "
-                "the truncation oracle"]
-    return []
+def _deviation_doc(witness) -> dict:
+    """Structured form of a DeviationWitness."""
+    return {
+        "description": witness.description,
+        "deviating_payoff": str(witness.deviating_payoff),
+        "memoryless_payoff": str(witness.memoryless_payoff),
+    }
+
+
+def _monotone_doc(witness) -> dict:
+    """Structured form of a MonotonicityWitness."""
+    return {
+        "x": [str(a) for a in witness.x],
+        "y": [str(a) for a in witness.y],
+        "u": format_lasso(witness.u),
+        "v": format_lasso(witness.v),
+        "values": [str(witness.phi_xu), str(witness.phi_xv),
+                   str(witness.phi_yu), str(witness.phi_yv)],
+    }
 
 
 def cmd_eval_word(args) -> int:
@@ -116,9 +127,6 @@ def cmd_eval_word(args) -> int:
         else:
             doc["bracket"] = [str(value.bracket[0]), str(value.bracket[1])]
             doc["horizon"] = value.horizon_used
-        notes = _generalization_notes(seq)
-        if notes:
-            doc["notes"] = notes
         _emit(doc, args)
     else:
         print(str(value))
@@ -173,14 +181,7 @@ def cmd_check_memoryless(args) -> int:
             "seed": args.seed,
         }
         if witness is not None:
-            doc["witness"] = {
-                "description": witness.description,
-                "deviating_payoff": str(witness.deviating_payoff),
-                "memoryless_payoff": str(witness.memoryless_payoff),
-            }
-        notes = _generalization_notes(seq)
-        if notes:
-            doc["notes"] = notes
+            doc["witness"] = _deviation_doc(witness)
         _emit(doc, args)
     else:
         print(f"verdict = {verdict.kind.value}")
@@ -210,21 +211,9 @@ def cmd_find_witness(args) -> int:
         }
         if report.verdict is not None and report.verdict.witness is not None:
             doc["game"] = games.serialize_game(report.game)
-            doc["witness"] = {
-                "description": report.verdict.witness.description,
-                "deviating_payoff": str(report.verdict.witness.deviating_payoff),
-                "memoryless_payoff": str(report.verdict.witness.memoryless_payoff),
-            }
+            doc["witness"] = _deviation_doc(report.verdict.witness)
         if report.monotonicity is not None:
-            w = report.monotonicity
-            doc["monotonicity_witness"] = {
-                "x": [str(a) for a in w.x],
-                "y": [str(a) for a in w.y],
-                "u": format_lasso(w.u),
-                "v": format_lasso(w.v),
-                "values": [str(w.phi_xu), str(w.phi_xv),
-                           str(w.phi_yu), str(w.phi_yv)],
-            }
+            doc["monotonicity_witness"] = _monotone_doc(report.monotonicity)
         _emit(doc, args)
     else:
         print(f"found = {report.found}")
@@ -262,14 +251,7 @@ def cmd_monotone(args) -> int:
             "seed": args.seed,
         }
         if witness is not None:
-            doc["witness"] = {
-                "x": [str(a) for a in witness.x],
-                "y": [str(a) for a in witness.y],
-                "u": format_lasso(witness.u),
-                "v": format_lasso(witness.v),
-                "values": [str(witness.phi_xu), str(witness.phi_xv),
-                           str(witness.phi_yu), str(witness.phi_yv)],
-            }
+            doc["witness"] = _monotone_doc(witness)
         _emit(doc, args)
     else:
         if witness is None:

@@ -1,31 +1,32 @@
 """Weighted-average payoff evaluation on lasso words.
 
-``eval_exact`` computes the payoff exactly for the block-geometric
-sequence classes where a closed form exists:
-
-  (a) convergent ratio (< 1): the weighted series divided by its total;
-  (b) periodic coefficients (ratio 1, nonzero block sum): the ratio of
-      per-super-period slopes, which is also the limit of the partial
-      ratios;
-  (c) pure geometric growth (ratio > 1, block length 1): the extreme of
-      the cycle's rotation averages (min for liminf, max for limsup).
+``eval_exact`` computes the payoff exactly by one integer per-phase
+evaluator.  After the transient, a lasso word and a block-geometric
+sequence both repeat with the period lcm(p, k) of the block and the
+cycle, along which the coefficients scale by a fixed factor rho.  Each
+residue modulo that period has its own limit of the partial ratios: the
+same for every residue when rho <= 1 (convergent and ratio-1
+sequences), a sliding-window ratio per residue when rho > 1 (growth).
+The payoff is the least of them (liminf) or the greatest (limsup).
 
 ``eval_approx`` is the independent truncation oracle: it accumulates
 exact partial ratios up to a horizon and brackets the tail limit per
 congruence phase by extrapolating the sampled numerators/denominators,
-never reusing the closed forms above.
+never reusing the closed form above.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .errors import UnsupportedSequenceError
-from .sequences import (Classification, CoeffSeq, RawCoeffTable, RatLike,
-                        analyze, as_rational)
+from .sequences import CoeffSeq, RawCoeffTable, RatLike, analyze, as_rational
 from .words import LassoWord
 
 LIMINF = "liminf"
@@ -43,8 +44,7 @@ class PayoffValue:
     horizon_used: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        _check_mode(self.mode)
         if (self.exact is None) == (self.bracket is None):
             raise ValueError("exactly one of exact/bracket must be present")
         if self.bracket is not None and self.bracket[0] > self.bracket[1]:
@@ -104,71 +104,85 @@ def rotation_values(ratio: RatLike, cycle) -> list[Fraction]:
 
 
 def supports_exact(seq) -> bool:
-    """Whether eval_exact has a closed form for this sequence."""
+    """Whether eval_exact has a closed form for this sequence: a CoeffSeq
+    whose reciprocal partial sums 1/d_n converge.  That rules out a zero
+    series total and, under growth, a phase whose partial sums stay
+    bounded."""
     if not isinstance(seq, CoeffSeq):
         return False
     an = analyze(seq)
-    if an.classification is Classification.CONVERGENT:
-        return an.series_sum != 0
-    if an.classification is Classification.DIVERGENT_BOUNDED:
-        return True
-    return seq.period == 1
+    return an.inv_psum_liminf == an.inv_psum_limsup is not None
 
 
-def _weighted_series(seq: CoeffSeq, word: LassoWord) -> Fraction:
-    """sum_i c_i * w_i for a convergent sequence, via aligned geometric tails."""
-    m, p, mu = seq.prefix_len, seq.period, seq.ratio
-    k = word.cycle_len
-    start = max(m, word.prefix_len)
-    total = Fraction(0)
-    coeffs = seq.terms()
-    for i in range(start):
-        total += next(coeffs) * word.symbol(i)
-    super_period = math.lcm(p, k)
-    ratio = mu ** (super_period // p)
-    window = Fraction(0)
-    for r in range(super_period):
-        window += next(coeffs) * word.symbol(start + r)
-    return total + window / (1 - ratio)
+def _scaled(values) -> tuple[tuple[int, ...], int]:
+    """Rationals as integers over their least common denominator."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+@lru_cache(maxsize=1024)
+def _int_coeffs(seq: CoeffSeq, count: int) -> tuple[tuple[int, ...], int]:
+    """c_0 .. c_(count-1) as integers over their least common denominator."""
+    return _scaled(list(itertools.islice(seq.terms(), count)))
+
+
+def _tail_limits(coeffs, symbols, head: int, num: int,
+                 den: int) -> list[tuple[int, int]]:
+    """Integer (numerator, denominator) of the partial-ratio limit along
+    each phase of a tail that repeats with the factor rho = num/den.
+
+    ``coeffs`` and ``symbols`` hold positions 0 .. head+span-1, where
+    c_(i+span) = rho * c_i and w_(i+span) = w_i for every i >= head.
+    With head sums N, D and window sums W, V over positions head ..
+    head+span-1, rho <= 1 gives one limit for every phase,
+    (N(1-rho) + W) / (D(1-rho) + V).  Under rho > 1 the head washes out
+    and phase r tends to W_r / V_r, the window sums from head + r:
+    W_r = W + (rho-1) P_r and V_r = V + (rho-1) Q_r, where P_r and Q_r
+    sum the first r terms c_i w_i and c_i of the window.  Each pair is
+    scaled by den.
+    """
+    window = coeffs[head:]
+    terms = list(map(operator.mul, window, symbols[head:]))
+    w, v = sum(terms), sum(window)
+    if num <= den:
+        n = sum(map(operator.mul, coeffs[:head], symbols[:head]))
+        d = sum(coeffs[:head])
+        return [(n * (den - num) + w * den, d * (den - num) + v * den)]
+    w, v, lift = w * den, v * den, num - den
+    return [(w + lift * p, v + lift * q) for p, q in zip(
+        itertools.accumulate(terms[:-1], initial=0),
+        itertools.accumulate(window[:-1], initial=0))]
 
 
 def eval_exact(seq: CoeffSeq, word: LassoWord, mode: str = LIMINF) -> PayoffValue:
     """Exact weighted-average payoff of a lasso word, where supported.
 
-    Raises UnsupportedSequenceError for raw tables, for growing ratios
-    with block length > 1 (the phase interaction has no closed form
-    here), and for convergent sequences whose total is zero.
+    After the transient max(m, |x|), positions repeat with the period
+    span = lcm(p, |u|), along which the coefficients scale by rho =
+    ratio**(span/p).  The payoff is the least (liminf) or greatest
+    (limsup) of the per-phase limits from _tail_limits.  Raises
+    UnsupportedSequenceError for raw tables and wherever supports_exact
+    is false.
     """
     _check_mode(mode)
     if isinstance(seq, RawCoeffTable):
         raise UnsupportedSequenceError(
             "raw tables have no exact evaluator; use eval_approx")
-    an = analyze(seq)
-    if an.classification is Classification.CONVERGENT:
-        if an.series_sum == 0:
-            raise UnsupportedSequenceError(
-                "series total is zero; the payoff is not a finite rational")
-        value = _weighted_series(seq, word) / an.series_sum
-        return PayoffValue(mode=mode, exact=value)
-    if an.classification is Classification.DIVERGENT_BOUNDED:
-        m, p = seq.prefix_len, seq.period
-        k = word.cycle_len
-        start = max(m, word.prefix_len)
-        super_period = math.lcm(p, k)
-        num_slope = Fraction(0)
-        den_slope = Fraction(0)
-        for r in range(start, start + super_period):
-            c = seq.term(r)
-            num_slope += c * word.symbol(r)
-            den_slope += c
-        return PayoffValue(mode=mode, exact=num_slope / den_slope)
-    if seq.period != 1:
+    if not supports_exact(seq):
         raise UnsupportedSequenceError(
-            "growing ratio with block length > 1 has no exact evaluator; "
-            "use eval_approx")
-    values = rotation_values(seq.ratio, word.cycle)
-    value = min(values) if mode == LIMINF else max(values)
-    return PayoffValue(mode=mode, exact=value)
+            "the reciprocal partial sums have no single limit, so the payoff "
+            "is not a finite rational for every word; use eval_approx")
+    head = max(seq.prefix_len, word.prefix_len)
+    span = math.lcm(seq.period, word.cycle_len)
+    rho = seq.ratio ** (span // seq.period)
+    ints, unit = _scaled(word.prefix + word.cycle)
+    prefix, cycle = ints[:word.prefix_len], ints[word.prefix_len:]
+    symbols = (prefix + cycle * ((head + span) // len(cycle) + 1))[:head + span]
+    pairs = _tail_limits(_int_coeffs(seq, head + span)[0], symbols, head,
+                         rho.numerator, rho.denominator)
+    values = [Fraction(n, d * unit) for n, d in pairs]
+    return PayoffValue(mode=mode,
+                       exact=min(values) if mode == LIMINF else max(values))
 
 
 def _phase_limit(mu: Fraction, lead_n: Fraction, const_n: Fraction,

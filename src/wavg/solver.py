@@ -19,13 +19,17 @@ The search takes one of two paths, chosen by the sequence class:
   O((m+p) * |Q| * |E| * max_len**2) steps for prefix length m and period
   p, and a greedy rebuild returns the first witness in the order above.
   One budget unit is one DP cell filled.
-* Growing sequences (ratio a/b > 1, block length 1): the maximizer
-  improves only if every phase limit of the play rises above v at once, a
-  conjunction that does not split into per-state optima, so every walk is
-  enumerated.  A closed lasso's payoff is the min (liminf) or max
-  (limsup) of its cycle's rotation averages, so "beats v" is an integer
-  sign test on the cycle alone, memoized per cycle; only the winning
-  lasso is evaluated exactly.  One budget unit is one cycle symbol.
+* Growing sequences (ratio a/b > 1, any block length): a lasso's payoff
+  is the least (liminf) or greatest (limsup) of its phase limits.  Under
+  liminf the maximizer improves only if every phase limit rises above v,
+  and under limsup the minimizer only if every phase falls below v: these
+  conjunctions do not split into per-state optima.  The other two sides
+  need one phase only, but take the same path, so every walk is
+  enumerated.  "Beats v" is the sign of the extreme phase of the payoff
+  module's integer per-phase kernel, fed the cycle's gains U - V and
+  memoized per (cycle, phase offset); only the winning lasso is evaluated
+  exactly.  One budget unit is one cycle symbol of a candidate that could
+  still precede the best one found.
 
 Either way an empty search is reported as a bounded no-witness, never as
 a proof.
@@ -44,7 +48,8 @@ from .errors import BudgetExceededError, UnsupportedSequenceError
 from .games import (GameGraph, MemorylessStrategy, StrategyProfile,
                     detour_gadget, enumerate_memoryless, escape_gadget,
                     induced_lasso)
-from .payoff import LIMINF, PayoffValue, eval_exact, supports_exact
+from .payoff import (LIMINF, PayoffValue, _int_coeffs, _scaled,
+                     _tail_limits, eval_exact, supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
 
@@ -226,7 +231,7 @@ def _scan_deviations(g: GameGraph, opponent: MemorylessStrategy, deviator: int,
     length, prefix length, edge index path) key is returned with its
     payoff.  Convergent and ratio-1 sequences take the DP, growing ones
     the enumerative walk.  ``cache`` lives for one check_memoryless call
-    and keeps slot weights (DP) or rotation signs per cycle (walk).
+    and keeps slot weights (DP) or phase signs per cycle (walk).
     """
     options = _deviation_edges(g, deviator, opponent)
 
@@ -253,46 +258,44 @@ def _edge_gains(g: GameGraph, options: dict,
             for q, es in options.items()}
 
 
-def _rotation_sign(a: int, b: int, gains: tuple[int, ...],
-                   extreme: Callable) -> int:
-    """Sign of phi - v for a cycle under ratio a/b > 1 and block length 1.
-
-    phi is the extreme rotation average of the cycle.  Rotation i minus v,
-    times the positive b**(L-1) * sum(ratio**j) * unit, is the integer
-    s_i = sum_j a**j * b**(L-1-j) * d_(i+j mod L) over the gains d, and
-    a * s_(i+1) = b * s_i + (a**L - b**L) * d_i.
-    """
-    score, top = 0, 1
-    for d in gains:
-        score = score * b + top * d
-        top *= a
-    shift = top - b ** len(gains)
-    scores = [score]
-    for d in gains[:-1]:
-        score = (b * score + shift * d) // a
-        scores.append(score)
-    best = extreme(scores)
-    return (best > 0) - (best < 0)
-
-
 def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                mode: str, value: Fraction, max_len: int, spend: Callable,
                cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
     """Enumerate every walk from the start up to ``max_len`` edges.
 
-    Only the growing class comes here, and only with block length 1, so
-    the payoff of x u^w is the min (liminf) or max (limsup) of the
-    rotation averages of u alone.  Each visit of a state already on the
-    walk closes a candidate lasso, decided by _rotation_sign on the
-    cycle's integer gains, memoized per cycle in ``cache``; a candidate
-    costs its cycle length in budget units.  The winning lasso is
-    confirmed by one exact evaluation.  The walk is depth-first over an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    Only the growing class comes here.  Each visit of a state already on
+    the walk closes a candidate lasso x u^w.  Its payoff is the extreme
+    phase limit of the tail, which ignores x except for the offset
+    (cut - m) mod gcd(p, |u|) of the cycle against the block: the set of
+    phase limits is the same for every cut with that offset.  Fed the
+    cycle's integer gains U - V, _tail_limits gives pairs (W_r, V_r)
+    whose ratios are the phase limits minus v, so "beats v" is the sign
+    of the extreme W_r * V_r, memoized per (cycle, offset) in ``cache``.
+    A candidate that cannot precede the best one found so far is skipped;
+    any other costs its cycle length in budget units.  The winning lasso
+    is confirmed by one exact evaluation.  The walk is depth-first over
+    an explicit stack, so its depth is not bounded by the recursion
+    limit.
     """
+    m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
     extreme = min if mode == LIMINF else max
     wanted = 1 if deviator == 1 else -1
     edge_gains = _edge_gains(g, options, value)
+    tails: dict[int, tuple[int, ...]] = {}
+
+    def sign(cycle: tuple[int, ...], phase: int) -> int:
+        # Tail positions m, m+1, ... against the cycle entered at -phase.
+        k = len(cycle)
+        span = math.lcm(p, k)
+        if span not in tails:
+            tails[span] = _int_coeffs(seq, m + span)[0][m:]
+        symbols = (cycle[k - phase:] + cycle[:k - phase]) * (span // k)
+        laps = span // p
+        top = extreme([w * v for w, v in _tail_limits(
+            tails[span], symbols, 0, a ** laps, b ** laps)])
+        return (top > 0) - (top < 0)
+
     best: Optional[tuple[tuple, LassoWord]] = None
     states = [g.start]
     rewards: list[Fraction] = []
@@ -319,13 +322,15 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         for cut in range(depth):
             if states[cut] != here:
                 continue
+            if best is not None and (depth - cut, cut) > best[0][:2]:
+                continue
             spend(depth - cut)
             cycle = tuple(gains[cut:])
-            sign = cache.get(cycle)
-            if sign is None:
-                sign = _rotation_sign(a, b, cycle, extreme)
-                cache[cycle] = sign
-            if sign == wanted:
+            memo = (cycle, (cut - m) % math.gcd(p, len(cycle)))
+            found = cache.get(memo)
+            if found is None:
+                found = cache[memo] = sign(*memo)
+            if found == wanted:
                 key = (depth - cut, cut, tuple(trail))
                 if best is None or key < best[0]:
                     best = (key, LassoWord(tuple(rewards[:cut]),
@@ -342,14 +347,8 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     word = best[1]
     phi = eval_exact(seq, word, mode).exact
     if not _improves(deviator, phi, value):
-        raise RuntimeError("rotation sign test disagrees with the exact evaluator")
+        raise RuntimeError("phase sign test disagrees with the exact evaluator")
     return word, phi
-
-
-def _scaled(values) -> tuple[tuple[int, ...], int]:
-    """Rationals as integers over their least common denominator."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
 def _prefix_weights(seq: CoeffSeq, count: int) -> tuple[tuple[int, ...], int]:
@@ -357,8 +356,7 @@ def _prefix_weights(seq: CoeffSeq, count: int) -> tuple[tuple[int, ...], int]:
     for ratio 1, whose payoff ignores any finite prefix."""
     if seq.ratio == 1:
         return (0,) * count, 1
-    coeffs = seq.terms()
-    return _scaled([next(coeffs) for _ in range(count)])
+    return _int_coeffs(seq, count)
 
 
 def _slot_weights(seq: CoeffSeq, first: int,

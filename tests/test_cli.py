@@ -32,6 +32,12 @@ class TestEvalWord:
         assert code == 0
         assert out.strip() == "1/2"
 
+    def test_growing_block_value(self, capsys):
+        code, out, _ = run(capsys, "eval-word", "--seq", "blocks:1,2;mu=2",
+                           "--word", "cycle=1,0,0")
+        assert code == 0
+        assert out.strip() == "3/14"
+
     def test_table_bracket(self, capsys):
         code, out, _ = run(capsys, "eval-word", "--seq", "table:1,1,1,1",
                            "--word", "cycle=3", "--horizon", "3")
@@ -219,13 +225,13 @@ class TestVerifyPaper:
 
     def test_corrupted_evaluator_fails_counterexample_check(
             self, capsys, monkeypatch):
-        real = wavg.payoff.rotation_values
+        real = wavg.payoff._tail_limits
 
-        def corrupted(ratio, cycle):
-            values = real(ratio, cycle)
-            return [v + 1 for v in values]
+        def corrupted(coeffs, symbols, head, num, den):
+            return [(w + v, v) for w, v in real(coeffs, symbols, head, num,
+                                                den)]
 
-        monkeypatch.setattr(wavg.payoff, "rotation_values", corrupted)
+        monkeypatch.setattr(wavg.payoff, "_tail_limits", corrupted)
         code, out, _ = run(capsys, "verify-paper")
         assert code == 1
         assert "overall: FAIL" in out

@@ -74,6 +74,15 @@ class TestEvalExact:
         with pytest.raises(UnsupportedSequenceError):
             eval_exact(seq, lasso((), (1,)))
 
+    def test_growing_block_phase_limits(self):
+        # The six phases of the super-period lcm(2, 3) tend to 5/21, 3/7,
+        # 2/7, 3/14, 10/21 and 5/14; liminf and limsup are the extremes.
+        seq = parse_sequence("blocks:1,2;mu=2")
+        word = parse_lasso("cycle=1,0,0")
+        for mode, expected in (("liminf", F(3, 14)), ("limsup", F(10, 21))):
+            assert eval_exact(seq, word, mode).exact == expected
+            assert approx_contains(seq, word, 200, expected, mode)
+
     def test_unsupported_vanishing_total(self):
         seq = CoeffSeq((1,), (F(-1, 2),), F(1, 2))  # partial sums 2**(1-n)
         assert analyze(seq).series_sum == 0
@@ -184,10 +193,10 @@ class TestEvalApprox:
             assert all(a >= b for a, b in zip(widths, widths[1:]))
 
     def test_growing_block_sequence_still_bracketable(self):
-        seq = CoeffSeq((3,), (2, 1), 2)  # no exact evaluator for this one
-        assert not supports_exact(seq)
-        got = eval_approx(seq, lasso((), (1, 0)), 100)
-        assert got.bracket[0] <= got.bracket[1]
+        seq = CoeffSeq((3,), (2, 1), 2)
+        for mode in ("liminf", "limsup"):
+            exact = eval_exact(seq, lasso((), (1, 0)), mode).exact
+            assert approx_contains(seq, lasso((), (1, 0)), 100, exact, mode)
 
     @settings(max_examples=40, deadline=None)
     @given(block_sequences(max_prefix=2, max_block=2),

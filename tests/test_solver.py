@@ -234,9 +234,12 @@ ORACLE_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
                   "blocks:1;mu=1/2;prefix=1,-2,3",
                   "blocks:1,2;mu=1;prefix=5,0,1"]
 # The growing-class walk against the reference: integer and fractional
-# ratios, a negative block and a sequence prefix, which the payoff ignores.
+# ratios, a negative block, sequence prefixes (the payoff ignores them but
+# for the block phase they set) and blocks of length 2 and 3, whose offset
+# against the cycle matters.
 GROWING_CLASSES = ["geom:2", "geom:3/2", "geom:3", "blocks:-1;mu=2",
-                   "blocks:2;mu=3;prefix=5,-2,1"]
+                   "blocks:2;mu=3;prefix=5,-2,1", "blocks:1,2;mu=2",
+                   "blocks:2,-1,3;mu=3/2;prefix=1,2"]
 
 
 def _oracle_game(seed):
