@@ -11,10 +11,9 @@ from .errors import (BudgetExceededError, GameFormatError, InputError,
                      UnsupportedSequenceError, WavgError)
 from .games import (Edge, FiniteMemoryStrategy, GameGraph, MemorylessStrategy,
                     StrategyProfile, count_memoryless, cycle_choice_gadget,
-                    detour_gadget, enumerate_finite_memory,
-                    enumerate_memoryless, escape_gadget, induced_lasso,
-                    loops_gadget, parse_game, random_game, serialize_game,
-                    two_branch_gadget)
+                    detour_gadget, enumerate_memoryless, escape_gadget,
+                    induced_lasso, loops_gadget, parse_game, random_game,
+                    serialize_game, two_branch_gadget)
 from .payoff import (LIMINF, LIMSUP, PayoffValue, disc_sum, eval_approx,
                      eval_exact, mean_payoff, rotation_values, supports_exact)
 from .sequences import (Classification, CoeffSeq, RawCoeffTable, SeqAnalysis,

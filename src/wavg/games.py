@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Union
 
-from .errors import BudgetExceededError, GameFormatError
+from .errors import GameFormatError
 from .sequences import RatLike, as_rational, parse_rational
-from .words import LassoWord, normalize_lasso
+from .words import LassoWord
 
 
 @dataclass(frozen=True)
@@ -184,56 +184,6 @@ def count_memoryless(g: GameGraph, player: int) -> int:
     for q in g.owned_states(player):
         n *= len(g.out_edges(q))
     return n
-
-
-def _behavior_signature(g: GameGraph, player: int, strategy: Strategy,
-                        opponents: list[MemorylessStrategy]) -> tuple:
-    lassos = []
-    for opp in opponents:
-        profile = (StrategyProfile(strategy, opp) if player == 1
-                   else StrategyProfile(opp, strategy))
-        lassos.append(normalize_lasso(induced_lasso(g, profile)))
-    return tuple(lassos)
-
-
-def enumerate_finite_memory(g: GameGraph, player: int, mem_bound: int,
-                            budget: int = 1_000_000) -> Iterator[FiniteMemoryStrategy]:
-    """All finite-memory strategies with at most mem_bound memory states.
-
-    Memory size 1 reproduces enumerate_memoryless exactly.  Larger
-    machines are deduplicated behaviorally: a machine is skipped when it
-    induces the same play as an earlier one against every opponent
-    memoryless strategy.  Raises BudgetExceededError when more than
-    ``budget`` raw machines would be examined.
-    """
-    if mem_bound < 1:
-        raise ValueError("mem_bound must be at least 1")
-    opponents = list(enumerate_memoryless(g, 3 - player))
-    owned = g.owned_states(player)
-    seen: set[tuple] = set()
-    examined = 0
-    for size in range(1, mem_bound + 1):
-        choice_keys = [(mem, q) for mem in range(size) for q in owned]
-        update_keys = [(mem, q) for mem in range(size) for q in g.states]
-        choice_options = [g.out_edges(q) for (_, q) in choice_keys]
-        for choices in itertools.product(*choice_options):
-            for updates in itertools.product(range(size), repeat=len(update_keys)):
-                examined += 1
-                if examined > budget:
-                    raise BudgetExceededError(
-                        f"finite-memory enumeration exceeded budget {budget}")
-                strategy = FiniteMemoryStrategy(
-                    size, dict(zip(choice_keys, choices)),
-                    dict(zip(update_keys, updates)))
-                signature = _behavior_signature(g, player, strategy, opponents)
-                if size == 1:
-                    seen.add(signature)
-                    yield strategy
-                    continue
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                yield strategy
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,16 @@ The search takes one of two paths, chosen by the sequence class:
 
 * Convergent (ratio < 1) and ratio-1 sequences: the payoff of a lasso is
   linear-fractional in its rewards, so "beats v" is the sign of a linear
-  form.  An integer best-walk DP over (position, state) and a
-  best-closed-walk DP per (cut class, cycle length, state) decide it in
-  O((m+p) * |Q| * |E| * max_len**2) steps for prefix length m and period
-  p, and a greedy rebuild returns the first witness in the order above.
-  One budget unit is one DP cell filled.
+  form, the numerator of the payoff module's closed form.  For a cycle of
+  length L entered at first, with H = max(m, first), span = lcm(p, L) and
+  rho = ratio**(span/p) = num/den, cycle slot j weighs (den - num) c_i
+  over [first, H) plus den c_i over [H, H + span), at the positions
+  i = first + j mod L, and prefix position i weighs (den - num) c_i,
+  which is 0 under ratio 1.  An integer best-walk DP over (position,
+  state) and a best-closed-walk DP per (cut class, cycle length, state)
+  decide it in O((m+p) * |Q| * |E| * max_len**2) steps for prefix length
+  m and period p, and a greedy rebuild returns the first witness in the
+  order above.  One budget unit is one DP cell filled.
 * Growing sequences (ratio a/b > 1, any block length): a lasso's payoff
   is the least (liminf) or greatest (limsup) of its phase limits.  Under
   liminf the maximizer improves only if every phase limit rises above v,
@@ -47,9 +52,9 @@ from typing import Callable, Optional, Sequence
 from .errors import BudgetExceededError, UnsupportedSequenceError
 from .games import (GameGraph, MemorylessStrategy, StrategyProfile,
                     detour_gadget, enumerate_memoryless, escape_gadget,
-                    induced_lasso)
-from .payoff import (LIMINF, PayoffValue, _int_coeffs, _scaled,
-                     _tail_limits, eval_exact, supports_exact)
+                    induced_lasso, two_branch_gadget)
+from .payoff import (LIMINF, PayoffValue, _int_coeffs, _tail_limits,
+                     eval_exact, supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
 
@@ -63,14 +68,13 @@ class SolveReport:
     p1_optimal: MemorylessStrategy
     p2_optimal: MemorylessStrategy
     saddle: bool
-    p1_strategies: Optional[list[MemorylessStrategy]] = None
-    p2_strategies: Optional[list[MemorylessStrategy]] = None
-    table: Optional[list[list[Fraction]]] = None
+    p1_strategies: list[MemorylessStrategy]
+    p2_strategies: list[MemorylessStrategy]
+    table: list[list[Fraction]]
 
 
 def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
-                      budget: int = 500_000,
-                      keep_table: bool = True) -> SolveReport:
+                      budget: int = 500_000) -> SolveReport:
     """Solve by enumerating every memoryless profile and evaluating exactly.
 
     Ties are broken by enumeration order (first strategy found).  The
@@ -108,9 +112,9 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
         p1_optimal=p1_opt,
         p2_optimal=p2_opt,
         saddle=maximin == minimax,
-        p1_strategies=p1s if keep_table else None,
-        p2_strategies=p2s if keep_table else None,
-        table=table if keep_table else None,
+        p1_strategies=p1s,
+        p2_strategies=p2s,
+        table=table,
     )
 
 
@@ -351,48 +355,26 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     return word, phi
 
 
-def _prefix_weights(seq: CoeffSeq, count: int) -> tuple[tuple[int, ...], int]:
-    """Weights of the first ``count`` positions: c_i for ratio < 1, and 0
-    for ratio 1, whose payoff ignores any finite prefix."""
-    if seq.ratio == 1:
-        return (0,) * count, 1
-    return _int_coeffs(seq, count)
-
-
-def _slot_weights(seq: CoeffSeq, first: int,
+def _slot_weights(coeffs, seq: CoeffSeq, first: int,
                   length: int) -> tuple[tuple[int, ...], int]:
-    """Weights of the slots of a cycle of ``length`` entered at ``first``.
+    """Weights of the slots of a cycle of ``length`` entered at ``first``,
+    and the factor den - num of the positions before it.
 
-    Slot j is read at positions n + t*length, n = first + j.  For ratio 1
-    the payoff is the slope over one super-period lcm(p, length), in which
-    slot j meets each block entry b_s with s = n - m mod gcd(p, length)
-    once.  For ratio < 1 the weight is the series of those coefficients:
-    the laps still in the sequence prefix, then whole super-periods summed
-    in closed form; past m + p it is ratio times the weight p slots back.
-    Scaled to integers by a common positive factor.
+    They are the numerator of payoff._tail_limits read as a linear form in
+    the rewards.  With H = max(m, first), span = lcm(p, length) and rho =
+    ratio**(span/p) = num/den, slot j weighs (den - num) c_i over the
+    positions i in [first, H) and den c_i over [H, H + span) that it
+    reads, i = first + j mod length; ``coeffs`` are the c_i as integers.
     """
-    m, p, mu = seq.prefix_len, seq.period, seq.ratio
-    if mu == 1:
-        d = math.gcd(p, length)
-        shares, scale = _scaled([sum(seq.block[r::d], Fraction(0))
-                                 for r in range(d)])
-        return tuple(shares[(first + j - m) % d] for j in range(length)), scale
-    super_period = math.lcm(p, length)
-    laps = super_period // length
-    shrink = 1 - mu ** (super_period // p)
-    weights: list[Fraction] = []
-    for j in range(length):
-        n = first + j
-        if j >= p and n >= m + p:
-            weights.append(mu * weights[j - p])
-            continue
-        head = max(0, -((n - m) // length))
-        weight = sum((seq.term(n + t * length) for t in range(head)),
-                     Fraction(0))
-        window = sum((seq.term(n + t * length)
-                      for t in range(head, head + laps)), Fraction(0))
-        weights.append(weight + window / shrink)
-    return _scaled(weights)
+    span = math.lcm(seq.period, length)
+    laps = span // seq.period
+    num, den = seq.ratio.numerator ** laps, seq.ratio.denominator ** laps
+    head = max(seq.prefix_len, first)
+    weights = [0] * length
+    for i in range(first, head + span):
+        weights[(i - first) % length] += coeffs[i] * (den if i >= head
+                                                      else den - num)
+    return tuple(weights), den - num
 
 
 def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
@@ -462,44 +444,45 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
              cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
     """Best-walk DP for the convergent and ratio-1 classes.
 
-    The payoff of x u^w is linear-fractional in the rewards: position i<cut
-    weighs c_i (0 under ratio 1) and cycle slot j weighs beta_j from
-    _slot_weights, over a total of fixed sign.  So beating ``value`` is
-    the sign of sum c_i (x_i - v) + sum beta_j (u_j - v), which splits into
-    a best prefix walk to each state q and a best closed walk at q.  For
-    cut >= m the weights of cut and of its class m + (cut-m) mod p differ
-    by the factor ratio**laps, so one closed-walk DP serves each (class,
-    cycle length).  Scores are integers; one budget unit per DP cell.
-    Scanning cycle length, then cut, then rebuilding the walk greedily by
-    edge index gives the same first witness as enumerating every walk.
+    The payoff of x u^w is linear-fractional in the rewards.  Its
+    numerator, as _slot_weights reads it off the payoff module's closed
+    form, weighs position i < cut by (den - num) c_i, which is 0 under
+    ratio 1, and cycle slot j by beta_j: (den - num) c_i over the slot's
+    positions in [cut, H) plus den c_i over those in [H, H + span).  The
+    denominator is the same form with every reward 1, of fixed sign.  So
+    beating ``value`` is the sign of
+    sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), which splits
+    into a best prefix walk to each state q and a best closed walk at q.
+    A cut below m is its own class; for cut >= m the weights of cut and
+    of its class m + (cut-m) mod p differ by the factor ratio**laps, so
+    one closed-walk DP serves each (class, cycle length).  Every weight
+    comes from one table of c_0 .. c_(m + p*(max_len+1) - 1), which covers
+    the window of every class.  Scores are integers; one budget unit per
+    DP cell.  Scanning cycle length, then cut, then rebuilding the walk
+    greedily by edge index gives the same first witness as enumerating
+    every walk.
     """
-    an = analyze(seq)
-    convergent = an.classification is Classification.CONVERGENT
-    total = an.series_sum if convergent else sum(seq.block, Fraction(0))
+    m, p = seq.prefix_len, seq.period
+    a, b = seq.ratio.numerator, seq.ratio.denominator
+    coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
+    # The denominator: the form at every reward 1, here for x = () and |u| = 1.
+    total = sum(_slot_weights(coeffs, seq, 0, 1)[0])
     sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
     gains = _edge_gains(g, options, value)
     steps = {q: tuple((idx, e.dst, sign * d)
                       for idx, (e, d) in enumerate(zip(es, gains[q])))
              for q, es in options.items()}
 
-    m, p, mu = seq.prefix_len, seq.period, seq.ratio
-    prefix_weights, prefix_scale = _prefix_weights(seq, max_len)
-
     # classes[cut] = (first position of its class, ratio**laps as num, den)
     classes = []
     for cut in range(max_len):
         laps, residue = divmod(cut - m, p)
-        if not convergent:
-            classes.append((m + residue, 1, 1))
-        elif cut < m:
-            classes.append((cut, 1, 1))
-        else:
-            classes.append((m + residue, mu.numerator ** laps,
-                            mu.denominator ** laps))
+        classes.append((cut, 1, 1) if cut < m
+                       else (m + residue, a ** laps, b ** laps))
 
     reach = [{g.start: 0}]
     for k in range(max_len - 1):
-        reach.append(_relax(reach[-1], steps, prefix_weights[k], spend))
+        reach.append(_relax(reach[-1], steps, coeffs[k], spend))
 
     for length in range(1, max_len + 1):
         last_cut = max_len - length
@@ -512,12 +495,13 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                     if classes[c][0] == first:
                         starts.update(reach[c])
                 if (first, length) not in cache:
-                    cache[first, length] = _slot_weights(seq, first, length)
-                betas, slot_scale = cache[first, length]
-                closed[first] = (betas, slot_scale,
+                    cache[first, length] = _slot_weights(coeffs, seq, first,
+                                                         length)
+                betas, shrink = cache[first, length]
+                closed[first] = (betas, shrink,
                                  _closed_walks(steps, betas, starts, spend))
-            betas, slot_scale, best = closed[first]
-            head_scale, loop_scale = den * slot_scale, num * prefix_scale
+            betas, shrink, best = closed[first]
+            head_scale, loop_scale = den * shrink, num
             for q, score in reach[cut].items():
                 end = best.get(q)
                 if end is not None and score * head_scale + end * loop_scale > 0:
@@ -527,7 +511,7 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             ends = {q: best[q] * loop_scale for q in reach[cut] if q in best}
             head, q, score = _first_walk(
                 options, steps, g.start,
-                [w * head_scale for w in prefix_weights[:cut]], 0, ends, spend)
+                [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
             loop, _, _ = _first_walk(
                 options, steps, q, [b * loop_scale for b in betas], score,
                 {q: 0}, spend)
@@ -755,19 +739,19 @@ def _detour_triples(lam: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
 
 
 def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
-                                  budget: int = 64, mode: str = LIMINF,
-                                  alphabet=(0, 1), max_prefix_len: int = 2,
-                                  max_cycle_len: int = 2,
-                                  scan_budget: int = 2_000_000
+                                  budget: int = 64, mode: str = LIMINF
                                   ) -> SequenceWitnessReport:
     """Search the parametric gadget families for a memoryless failure.
 
     Escape gadgets are tried on an integer grid sized by the reciprocal
-    of the partial-sum liminf; detour gadgets on reward triples built
-    from two-sided approximations of the odd/even split ratio (exact
-    value first on each side).  If no gadget yields a witness, the
-    monotonicity falsifier runs as a final route.  Budget exhaustion
-    returns a not-found report carrying the instances tried.
+    of the partial-sum liminf; growing sequences then try the two
+    two-branch gadgets, and convergent ones detour gadgets on reward
+    triples built from two-sided approximations of the odd/even split
+    ratio (exact value first on each side).  If no gadget yields a
+    witness, the monotonicity falsifier runs as a final route, over
+    prefixes and cycles of length at most 2 on the alphabet {0, 1}.
+    Budget exhaustion returns a not-found report carrying the instances
+    tried.
     """
     an = analyze(seq)
     tried: list[str] = []
@@ -780,6 +764,10 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
         ws = (1,)
     for w in ws:
         candidates.append((f"escape_gadget({w})", escape_gadget(w, owner=1)))
+    if an.classification is Classification.DIVERGENT_UNBOUNDED:
+        candidates.append(("two_branch_gadget()", two_branch_gadget()))
+        candidates.append(("two_branch_gadget((0,1),(1,0))",
+                           two_branch_gadget((0, 1), (1, 0))))
     if (an.classification is Classification.CONVERGENT
             and an.even_sum not in (None, 0)):
         lam = an.odd_sum / an.even_sum
@@ -791,14 +779,12 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
         if len(tried) >= budget:
             tried.append("(budget exhausted)")
             return SequenceWitnessReport(found=False, tried=tried)
-        verdict = check_memoryless(game, seq, mem_bound=mem_bound, mode=mode,
-                                   budget=scan_budget)
+        verdict = check_memoryless(game, seq, mem_bound=mem_bound, mode=mode)
         tried.append(f"{description}: {verdict.kind.value}")
         if verdict.kind is VerdictKind.WITNESS_FOUND:
             return SequenceWitnessReport(found=True, game=game,
                                          verdict=verdict, tried=tried)
-    witness = monotone_falsify(seq, alphabet, max_prefix_len, max_cycle_len,
-                               mode=mode)
+    witness = monotone_falsify(seq, (0, 1), 2, 2, mode=mode)
     tried.append(
         "monotonicity search: " + ("witness" if witness else "absent"))
     if witness is not None:

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavg import (BudgetExceededError, Edge, FiniteMemoryStrategy,
-                  GameFormatError, GameGraph, LassoWord, MemorylessStrategy,
-                  StrategyProfile, count_memoryless, cycle_choice_gadget,
-                  detour_gadget, enumerate_finite_memory, enumerate_memoryless,
-                  escape_gadget, induced_lasso, lasso, loops_gadget,
-                  normalize_lasso, parse_game, random_game, serialize_game,
-                  two_branch_gadget)
+from wavg import (Edge, FiniteMemoryStrategy, GameFormatError, GameGraph,
+                  LassoWord, MemorylessStrategy, StrategyProfile,
+                  count_memoryless, cycle_choice_gadget, detour_gadget,
+                  enumerate_memoryless, escape_gadget, induced_lasso, lasso,
+                  loops_gadget, normalize_lasso, parse_game, random_game,
+                  serialize_game, two_branch_gadget)
 
 F = Fraction
 
@@ -178,37 +177,6 @@ class TestEnumeration:
             for q in g.owned_states(player):
                 expected *= len(g.out_edges(q))
             assert len(list(enumerate_memoryless(g, player))) == expected
-
-
-class TestFiniteMemoryEnumeration:
-    def test_bound_one_degenerates_to_memoryless(self):
-        g = two_branch_gadget()
-        machines = list(enumerate_finite_memory(g, 2, 1))
-        flat = [{q: e for (m, q), e in s.choice.items()} for s in machines]
-        plain = [s.choice for s in enumerate_memoryless(g, 2)]
-        assert flat == plain
-
-    def test_includes_alternating_behavior(self):
-        g = two_branch_gadget()
-        target = lasso((), (1, 2, 0, 4))
-        found = False
-        for machine in enumerate_finite_memory(g, 2, 2, budget=100_000):
-            word = induced_lasso(
-                g, StrategyProfile(MemorylessStrategy({}), machine))
-            if word == target:
-                found = True
-                break
-        assert found
-
-    def test_out_degree_one_collapses(self):
-        g = loops_gadget((3,))
-        machines = list(enumerate_finite_memory(g, 1, 2, budget=10_000))
-        assert len(machines) == 1
-
-    def test_budget_exceeded(self):
-        g = two_branch_gadget()
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_finite_memory(g, 2, 2, budget=10))
 
 
 class TestFileFormat:

@@ -10,10 +10,11 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq,
                   UnsupportedSequenceError, VerdictKind, check_memoryless,
                   cycle_choice_gadget, detour_gadget, discounted,
                   enumerate_memoryless, escape_gadget, eval_approx, eval_exact,
-                  find_witness_sequence_failure, geometric, lasso,
-                  LassoWord, loops_gadget, mean_sequence, monotone_falsify,
-                  parse_sequence, random_game, solve_enumerative,
-                  two_branch_gadget, value_iter_disc, value_iter_mean)
+                  find_witness_sequence_failure, format_lasso, geometric,
+                  lasso, LassoWord, loops_gadget, mean_sequence,
+                  monotone_falsify, parse_sequence, random_game,
+                  solve_enumerative, two_branch_gadget, value_iter_disc,
+                  value_iter_mean)
 from wavg import solver
 
 F = Fraction
@@ -225,14 +226,17 @@ def _reference_scan(g, options, deviator, seq, mode, value, max_len, spend,
 # The DP deviation search against the reference, both deviators, every
 # opponent strategy.  Besides the benchmark classes: a negative series
 # total and a negative block sum (the sign of the linear form flips), a
-# finite support (ratio 0) and sequence prefixes longer than some cuts.
+# finite support (ratio 0), sequence prefixes longer than some cuts, and a
+# period-5 block with a prefix, whose windows outgrow max_len and whose
+# cuts below m carry head sums.
 ORACLE_SEEDS = range(20)
 ORACLE_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
                   "blocks:1,2,3;mu=1", "blocks:1,1/2;mu=1/8;prefix=3,1",
                   "blocks:3,-1;mu=1/2", "blocks:-2,1;mu=1/2",
                   "blocks:-1,-2;mu=1", "blocks:1,2;mu=0",
                   "blocks:1;mu=1/2;prefix=1,-2,3",
-                  "blocks:1,2;mu=1;prefix=5,0,1"]
+                  "blocks:1,2;mu=1;prefix=5,0,1",
+                  "blocks:1,3,1,1,2;mu=1/2;prefix=2"]
 # The growing-class walk against the reference: integer and fractional
 # ratios, a negative block, sequence prefixes (the payoff ignores them but
 # for the block phase they set) and blocks of length 2 and 3, whose offset
@@ -390,6 +394,20 @@ class TestFindWitness:
         report = find_witness_sequence_failure(parse_sequence("blocks:2,1;mu=1"))
         assert report.found
         assert report.monotonicity is not None or report.verdict is not None
+
+    @pytest.mark.parametrize("spec, lasso_text, payoff", [
+        ("geom:2", "cycle=0,4,1,2", F(14, 15)),
+        ("geom:3/2", "cycle=0,4,1,2", F(16, 13)),
+        ("blocks:1,2;mu=2", "cycle=0,4,1,2,1,2", F(19, 14)),
+    ])
+    def test_growing_two_branch(self, spec, lasso_text, payoff):
+        report = find_witness_sequence_failure(parse_sequence(spec))
+        assert report.found
+        assert report.tried[-1] == "two_branch_gadget(): witness-found"
+        witness = report.verdict.witness
+        assert format_lasso(witness.lasso) == lasso_text
+        assert witness.deviating_payoff == payoff
+        assert witness.deviating_payoff < witness.memoryless_payoff
 
     def test_budget_exhaustion_reports_tried(self):
         report = find_witness_sequence_failure(
