@@ -1,7 +1,10 @@
 """Exact game solving and memoryless-optimality checking.
 
 ``solve_enumerative`` builds the full payoff table over memoryless
-profiles and reads off maximin/minimax exactly.  ``check_memoryless``
+profiles and reads off maximin/minimax exactly.  It fills the table from
+the play tree: one depth-first walk from the start meets each distinct
+memoryless play once, evaluates it once and writes its value into every
+profile that plays it, with no per-profile replay.  ``check_memoryless``
 then searches for finite-memory deviations: against each opponent best
 response it looks at the deviator's ultimately periodic plays with
 prefix+cycle length up to max_len = |Q| * mem_bound (the configuration
@@ -50,9 +53,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, UnsupportedSequenceError
-from .games import (GameGraph, MemorylessStrategy, StrategyProfile,
-                    detour_gadget, enumerate_memoryless, escape_gadget,
-                    induced_lasso, two_branch_gadget)
+from .games import (GameGraph, MemorylessStrategy, detour_gadget,
+                    enumerate_memoryless, escape_gadget, two_branch_gadget)
 from .payoff import (LIMINF, PayoffValue, _int_coeffs, _tail_limits,
                      eval_exact, supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
@@ -75,10 +77,13 @@ class SolveReport:
 
 def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
                       budget: int = 500_000) -> SolveReport:
-    """Solve by enumerating every memoryless profile and evaluating exactly.
+    """Solve by tabulating every memoryless profile's exact payoff.
 
-    Ties are broken by enumeration order (first strategy found).  The
-    number of profiles must not exceed ``budget``.
+    The table is filled from the play tree: each distinct play is found
+    once and evaluated once, and its value goes to every profile that
+    plays it; no profile's play is replayed.  Ties are broken by
+    enumeration order (first strategy found).  The number of profiles
+    must not exceed ``budget``.
     """
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
@@ -88,20 +93,10 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
     if len(p1s) * len(p2s) > budget:
         raise BudgetExceededError(
             f"{len(p1s) * len(p2s)} memoryless profiles exceed budget {budget}")
-    memo: dict[LassoWord, Fraction] = {}
-
-    def value(sigma: MemorylessStrategy, pi: MemorylessStrategy) -> Fraction:
-        induced = induced_lasso(g, StrategyProfile(sigma, pi))
-        if induced in memo:
-            return memo[induced]
-        phi = eval_exact(seq, induced, mode).exact
-        memo[induced] = phi
-        return phi
-
-    table = [[value(sigma, pi) for pi in p2s] for sigma in p1s]
+    cells = _play_tree_values(g, seq, mode)
+    table = [cells[i:i + len(p2s)] for i in range(0, len(cells), len(p2s))]
     row_mins = [min(row) for row in table]
-    col_maxs = [max(table[i][j] for i in range(len(p1s)))
-                for j in range(len(p2s))]
+    col_maxs = [max(column) for column in zip(*table)]
     maximin = max(row_mins)
     minimax = min(col_maxs)
     p1_opt = p1s[row_mins.index(maximin)]
@@ -116,6 +111,65 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
         p2_strategies=p2s,
         table=table,
     )
+
+
+def _play_tree_values(g: GameGraph, seq: CoeffSeq,
+                      mode: str) -> list[Fraction]:
+    """The payoff of every memoryless profile, row-major by (sigma, pi).
+
+    A profile's index is mixed-radix in its edge indices, in the order of
+    enumerate_memoryless: owned states in g.states order, the last one
+    fastest, player 1's digits above player 2's.  A depth-first walk from
+    the start, over an explicit stack, fixes a state's edge index only
+    when the walk first reaches it.  An edge back to a state on the path
+    closes the play: one distinct lasso, evaluated once per distinct word,
+    whose value goes to every cell that agrees with the fixed indices,
+    whatever the states off the path choose.
+    """
+    # shifts[q][k]: how far edge index k of state q moves a profile's index.
+    shifts: dict[str, list[int]] = {}
+    size = 1
+    for player in (2, 1):
+        for q in reversed(g.owned_states(player)):
+            shifts[q] = [k * size for k in range(len(g.out_edges(q)))]
+            size *= len(shifts[q])
+    cells: list = [None] * size
+    memo: dict[LassoWord, Fraction] = {}
+    path = {g.start: 0}
+    rewards: list[Fraction] = []
+    # One frame per state on the path: the state, the index shift of the
+    # choices above it, and its remaining edges.
+    frames = [(g.start, 0, iter(enumerate(g.out_edges(g.start))))]
+    while frames:
+        here, above, edges = frames[-1]
+        step = next(edges, None)
+        if step is None:
+            frames.pop()
+            del path[here]
+            if rewards:
+                rewards.pop()
+            continue
+        idx, edge = step
+        base = above + shifts[here][idx]
+        cut = path.get(edge.dst)
+        if cut is None:
+            path[edge.dst] = len(rewards) + 1
+            rewards.append(edge.weight)
+            frames.append((edge.dst, base,
+                           iter(enumerate(g.out_edges(edge.dst)))))
+            continue
+        word = LassoWord(tuple(rewards[:cut]),
+                         tuple(rewards[cut:]) + (edge.weight,))
+        value = memo.get(word)
+        if value is None:
+            value = memo[word] = eval_exact(seq, word, mode).exact
+        offsets = [base]
+        for q in g.states:
+            if q not in path:
+                offsets = [o + shift for o in offsets for shift in shifts[q]]
+        for o in offsets:
+            cells[o] = value
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +507,10 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     beating ``value`` is the sign of
     sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), which splits
     into a best prefix walk to each state q and a best closed walk at q.
-    A cut below m is its own class; for cut >= m the weights of cut and
-    of its class m + (cut-m) mod p differ by the factor ratio**laps, so
-    one closed-walk DP serves each (class, cycle length).  Every weight
+    For cut >= m the weights of cut and of its class m + (cut-m) mod p
+    differ by the factor ratio**laps, so one closed-walk DP serves each
+    (class, cycle length).  A cut below m is its own class, except under
+    ratio 1, where its slot weights equal its class's.  Every weight
     comes from one table of c_0 .. c_(m + p*(max_len+1) - 1), which covers
     the window of every class.  Scores are integers; one budget unit per
     DP cell.  Scanning cycle length, then cut, then rebuilding the walk
@@ -473,12 +528,16 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                       for idx, (e, d) in enumerate(zip(es, gains[q])))
              for q, es in options.items()}
 
-    # classes[cut] = (first position of its class, ratio**laps as num, den)
+    # classes[cut] = (first position of its class, ratio**laps as num, den);
+    # under ratio 1 a cut below m weighs its prefix and head by 0, so it
+    # joins its class at the factor 1 (laps < 0 there).
     classes = []
     for cut in range(max_len):
         laps, residue = divmod(cut - m, p)
-        classes.append((cut, 1, 1) if cut < m
-                       else (m + residue, a ** laps, b ** laps))
+        if cut >= m:
+            classes.append((m + residue, a ** laps, b ** laps))
+        else:
+            classes.append((m + residue, 1, 1) if a == b else (cut, 1, 1))
 
     reach = [{g.start: 0}]
     for k in range(max_len - 1):
@@ -555,8 +614,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     budget_box = [budget]
     cache: dict = {}
     row_mins = [min(row) for row in report.table]
-    col_maxs = [max(report.table[i][j] for i in range(len(report.p1_strategies)))
-                for j in range(len(report.p2_strategies))]
+    col_maxs = [max(column) for column in zip(*report.table)]
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
@@ -744,10 +802,12 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     """Search the parametric gadget families for a memoryless failure.
 
     Escape gadgets are tried on an integer grid sized by the reciprocal
-    of the partial-sum liminf; growing sequences then try the two
-    two-branch gadgets, and convergent ones detour gadgets on reward
-    triples built from two-sided approximations of the odd/even split
-    ratio (exact value first on each side).  If no gadget yields a
+    of the partial-sum liminf.  Growing sequences then try the two
+    minimizer-owned two-branch gadgets and, under limsup, where the
+    maximizer needs only one phase above the value, a maximizer-owned
+    one.  Convergent sequences try detour gadgets on reward triples
+    built from two-sided approximations of the odd/even split ratio
+    (exact value first on each side).  If no gadget yields a
     witness, the monotonicity falsifier runs as a final route, over
     prefixes and cycles of length at most 2 on the alphabet {0, 1}.
     Budget exhaustion returns a not-found report carrying the instances
@@ -768,6 +828,9 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
         candidates.append(("two_branch_gadget()", two_branch_gadget()))
         candidates.append(("two_branch_gadget((0,1),(1,0))",
                            two_branch_gadget((0, 1), (1, 0))))
+        if mode != LIMINF:
+            candidates.append(("two_branch_gadget((0,1),(1,0),owner=1)",
+                               two_branch_gadget((0, 1), (1, 0), owner=1)))
     if (an.classification is Classification.CONVERGENT
             and an.even_sum not in (None, 0)):
         lam = an.odd_sum / an.even_sum

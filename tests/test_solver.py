@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq,
-                  UnsupportedSequenceError, VerdictKind, check_memoryless,
-                  cycle_choice_gadget, detour_gadget, discounted,
-                  enumerate_memoryless, escape_gadget, eval_approx, eval_exact,
+from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
+                  GameGraph, StrategyProfile, UnsupportedSequenceError,
+                  VerdictKind, check_memoryless, cycle_choice_gadget,
+                  detour_gadget, discounted, enumerate_memoryless,
+                  escape_gadget, eval_approx, eval_exact,
                   find_witness_sequence_failure, format_lasso, geometric,
-                  lasso, LassoWord, loops_gadget, mean_sequence,
-                  monotone_falsify, parse_sequence, random_game,
-                  solve_enumerative, two_branch_gadget, value_iter_disc,
-                  value_iter_mean)
+                  induced_lasso, lasso, LassoWord, loops_gadget,
+                  mean_sequence, monotone_falsify, parse_sequence,
+                  random_game, solve_enumerative, two_branch_gadget,
+                  value_iter_disc, value_iter_mean)
 from wavg import solver
 
 F = Fraction
@@ -61,6 +62,55 @@ class TestSolveEnumerative:
         g = two_branch_gadget()
         report = solve_enumerative(g, geometric(2))
         assert report.p2_optimal.choice["hub"].dst == "left"
+
+    def test_deep_cycle_game(self):
+        # One profile whose play is a single 1,500-state cycle: the table
+        # walk must not recurse once per state.
+        n = 1500
+        names = tuple(f"q{i}" for i in range(n))
+        edges = tuple(Edge(names[i], names[(i + 1) % n], F(i % 7))
+                      for i in range(n))
+        g = GameGraph(names, {q: 1 + i % 2 for i, q in enumerate(names)},
+                      edges, names[0])
+        report = solve_enumerative(g, mean_sequence())
+        expected = F(sum(i % 7 for i in range(n)), n)
+        assert report.table == [[expected]]
+        assert report.maximin.exact == report.minimax.exact == expected
+
+
+def _reference_table(g, seq, mode):
+    """Every profile's play replayed by induced_lasso and evaluated
+    exactly, with the first maximin and minimax strategy indices."""
+    p1s = list(enumerate_memoryless(g, 1))
+    p2s = list(enumerate_memoryless(g, 2))
+    table = [[eval_exact(seq, induced_lasso(g, StrategyProfile(sigma, pi)),
+                         mode).exact
+              for pi in p2s] for sigma in p1s]
+    row_mins = [min(row) for row in table]
+    col_maxs = [max(row[j] for row in table) for j in range(len(p2s))]
+    return (table, row_mins.index(max(row_mins)),
+            col_maxs.index(min(col_maxs)))
+
+
+TABLE_GAMES = ([random_game(seed, max_states=5, max_out_degree=2)
+                for seed in range(20)]
+               + [two_branch_gadget(), detour_gadget(4, 1, 3),
+                  cycle_choice_gadget(3)])
+TABLE_CLASSES = ["mean", "disc:1/2", "blocks:2,1;mu=1", "blocks:1,1/2;mu=1/8",
+                 "geom:2", "blocks:1,2;mu=2"]
+
+
+class TestPlayTreeTable:
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    @pytest.mark.parametrize("spec", TABLE_CLASSES)
+    def test_matches_per_profile_replay(self, spec, mode):
+        seq = parse_sequence(spec)
+        for g in TABLE_GAMES:
+            report = solve_enumerative(g, seq, mode=mode)
+            table, i, j = _reference_table(g, seq, mode)
+            assert report.table == table
+            assert report.p1_strategies.index(report.p1_optimal) == i
+            assert report.p2_strategies.index(report.p2_optimal) == j
 
 
 class TestValueIteration:
@@ -168,7 +218,6 @@ class TestCheckMemoryless:
         assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
 
     def test_mixed_ownership_still_finds_witness(self):
-        from wavg import Edge, GameGraph
         edges = (Edge("hub", "left", F(0)), Edge("left", "hub", F(4)),
                  Edge("hub", "right", F(1)), Edge("right", "hub", F(2)))
         g = GameGraph(("hub", "left", "right"),
@@ -283,6 +332,23 @@ class TestDeviationSearchOracle:
         monkeypatch.setattr(solver, "_dp_scan", _reference_scan)
         assert dp == check_memoryless(g, seq, mem_bound=2)
 
+    def test_ratio_one_cuts_below_prefix_share_classes(self, monkeypatch):
+        # Under ratio 1 a cut below the sequence prefix joins its class, so
+        # it runs no closed-walk DP of its own.
+        seq = parse_sequence("blocks:1,2;mu=1;prefix=5,0,1")
+        boxes = {}
+        scan = solver._scan_deviations
+
+        def recording(*args):
+            boxes[id(args[7])] = args[7]
+            return scan(*args)
+
+        monkeypatch.setattr(solver, "_scan_deviations", recording)
+        for seed in ORACLE_SEEDS:
+            check_memoryless(_oracle_game(seed), seq, mem_bound=2,
+                             budget=1_000_000)
+        assert sum(1_000_000 - box[0] for box in boxes.values()) <= 4_383
+
     @pytest.mark.parametrize("spec", ORACLE_CLASSES)
     def test_oracle_cases_hold_witnesses(self, spec):
         seq = parse_sequence(spec)
@@ -395,19 +461,40 @@ class TestFindWitness:
         assert report.found
         assert report.monotonicity is not None or report.verdict is not None
 
+    @staticmethod
+    def _growing_witness(spec, mode, gadget, lasso_text, payoff):
+        report = find_witness_sequence_failure(parse_sequence(spec), mode=mode)
+        assert report.found
+        assert report.tried[-1] == f"{gadget}: witness-found"
+        witness = report.verdict.witness
+        assert format_lasso(witness.lasso) == lasso_text
+        assert witness.deviating_payoff == payoff
+        assert solver._improves(witness.player, witness.deviating_payoff,
+                                witness.memoryless_payoff)
+        return witness
+
     @pytest.mark.parametrize("spec, lasso_text, payoff", [
         ("geom:2", "cycle=0,4,1,2", F(14, 15)),
         ("geom:3/2", "cycle=0,4,1,2", F(16, 13)),
         ("blocks:1,2;mu=2", "cycle=0,4,1,2,1,2", F(19, 14)),
     ])
     def test_growing_two_branch(self, spec, lasso_text, payoff):
-        report = find_witness_sequence_failure(parse_sequence(spec))
-        assert report.found
-        assert report.tried[-1] == "two_branch_gadget(): witness-found"
-        witness = report.verdict.witness
-        assert format_lasso(witness.lasso) == lasso_text
-        assert witness.deviating_payoff == payoff
-        assert witness.deviating_payoff < witness.memoryless_payoff
+        witness = self._growing_witness(spec, LIMINF, "two_branch_gadget()",
+                                        lasso_text, payoff)
+        assert witness.player == 2
+
+    @pytest.mark.parametrize("spec, lasso_text, payoff", [
+        ("geom:2", "cycle=0,1,1,0", F(4, 5)),
+        ("geom:3/2", "cycle=0,1,1,0", F(9, 13)),
+        ("geom:3", "cycle=0,1,1,0", F(9, 10)),
+    ])
+    def test_growing_two_branch_limsup(self, spec, lasso_text, payoff):
+        # Under limsup the minimizer-owned gadgets find nothing on these
+        # period-1 sequences; the maximizer-owned one refutes them.
+        witness = self._growing_witness(
+            spec, LIMSUP, "two_branch_gadget((0,1),(1,0),owner=1)",
+            lasso_text, payoff)
+        assert witness.player == 1
 
     def test_budget_exhaustion_reports_tried(self):
         report = find_witness_sequence_failure(
