@@ -219,16 +219,14 @@ def detour_gadget(out: RatLike, back: RatLike, loop: RatLike,
     return GameGraph(("base", "away"), {"base": owner, "away": owner}, edges, "base")
 
 
-def cycle_choice_gadget(k: int, owner: int = 1, spike: RatLike = 1) -> GameGraph:
-    """A hub choosing among k length-k cycles; cycle i carries ``spike``
+def cycle_choice_gadget(k: int, owner: int = 1) -> GameGraph:
+    """A hub choosing among k length-k cycles; cycle i carries reward 1
     on its (i+1)-th edge and 0 elsewhere."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    spike = as_rational(spike)
     states = ["hub"]
     owners = {"hub": owner}
     edges: list[Edge] = []
-    zero = Fraction(0)
     for i in range(k):
         chain = [f"c{i}s{j}" for j in range(1, k)]
         for name in chain:
@@ -236,8 +234,8 @@ def cycle_choice_gadget(k: int, owner: int = 1, spike: RatLike = 1) -> GameGraph
             owners[name] = owner
         nodes = ["hub"] + chain + ["hub"]
         for step in range(k):
-            weight = spike if step == i else zero
-            edges.append(Edge(nodes[step], nodes[step + 1], weight))
+            edges.append(Edge(nodes[step], nodes[step + 1],
+                              Fraction(1 if step == i else 0)))
     return GameGraph(tuple(states), owners, tuple(edges), "hub")
 
 
@@ -335,9 +333,9 @@ def serialize_game(g: GameGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_game(seed: int, max_states: int = 5, max_out_degree: int = 3,
-                weight_lo: int = -4, weight_hi: int = 4) -> GameGraph:
-    """A seed-determined random game for property suites."""
+def random_game(seed: int, max_states: int = 5,
+                max_out_degree: int = 3) -> GameGraph:
+    """A seed-determined random game with rewards in [-4, 4]."""
     rng = random.Random(seed)
     n = rng.randint(2, max_states)
     names = tuple(f"q{i}" for i in range(n))
@@ -347,6 +345,6 @@ def random_game(seed: int, max_states: int = 5, max_out_degree: int = 3,
         degree = rng.randint(1, min(max_out_degree, n))
         targets = rng.sample(names, degree)
         for target in targets:
-            weight = Fraction(rng.randint(weight_lo, weight_hi))
+            weight = Fraction(rng.randint(-4, 4))
             edges.append(Edge(q, target, weight))
     return GameGraph(names, owners, tuple(edges), names[0])

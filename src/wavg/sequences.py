@@ -125,10 +125,6 @@ class RawCoeffTable:
                 raise SequenceAdmissionError(
                     f"partial sum d_{n} is zero", violation_index=n)
 
-    @property
-    def horizon(self) -> int:
-        return len(self.values) - 1
-
 
 class Classification(Enum):
     CONVERGENT = "convergent"
@@ -380,21 +376,3 @@ def parse_sequence(text: str) -> Union[CoeffSeq, RawCoeffTable]:
             raise SequenceFormatError("blocks spec requires ;mu=<rat>")
         return CoeffSeq(prefix, block, mu)
     raise SequenceFormatError(f"unrecognized sequence spec {text!r}")
-
-
-def format_sequence(seq: Union[CoeffSeq, RawCoeffTable]) -> str:
-    """Render a sequence as a spec string accepted by parse_sequence."""
-    if isinstance(seq, RawCoeffTable):
-        return "table:" + ",".join(str(c) for c in seq.values)
-    if not seq.prefix and seq.block == (Fraction(1),):
-        if seq.ratio == 1:
-            return "mean"
-        if 0 < seq.ratio < 1:
-            return f"disc:{seq.ratio}"
-        if seq.ratio > 0:
-            return f"geom:{seq.ratio}"
-    spec = "blocks:" + ",".join(str(b) for b in seq.block)
-    spec += f";mu={seq.ratio}"
-    if seq.prefix:
-        spec += ";prefix=" + ",".join(str(c) for c in seq.prefix)
-    return spec

@@ -35,12 +35,13 @@ The search takes one of two paths, chosen by the sequence class:
   need one phase only, but take the same path, so every walk is
   enumerated.  "Beats v" is the sign of the extreme phase of the payoff
   module's integer per-phase kernel, fed the cycle's gains U - V and
-  memoized per (cycle, phase offset); only the winning lasso is evaluated
+  memoized per (cycle, phase offset); no candidate is evaluated
   exactly.  One budget unit is one cycle symbol of a candidate that could
   still precede the best one found.
 
-Either way an empty search is reported as a bounded no-witness, never as
-a proof.
+Either way the engine returns only the lasso; ``check_memoryless``
+confirms it by one exact evaluation, and reports an empty search as a
+bounded no-witness, never as a proof.
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
     fastest, player 1's digits above player 2's.  A depth-first walk from
     the start, over an explicit stack, fixes a state's edge index only
     when the walk first reaches it.  An edge back to a state on the path
-    closes the play: one distinct lasso, evaluated once per distinct word,
-    whose value goes to every cell that agrees with the fixed indices,
-    whatever the states off the path choose.
+    closes the play: a distinct play, evaluated once, whose value goes to
+    every cell that agrees with the fixed indices, whatever the states off
+    the path choose.
     """
     # shifts[q][k]: how far edge index k of state q moves a profile's index.
     shifts: dict[str, list[int]] = {}
@@ -134,7 +135,6 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
             shifts[q] = [k * size for k in range(len(g.out_edges(q)))]
             size *= len(shifts[q])
     cells: list = [None] * size
-    memo: dict[LassoWord, Fraction] = {}
     path = {g.start: 0}
     rewards: list[Fraction] = []
     # One frame per state on the path: the state, the index shift of the
@@ -160,9 +160,7 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
             continue
         word = LassoWord(tuple(rewards[:cut]),
                          tuple(rewards[cut:]) + (edge.weight,))
-        value = memo.get(word)
-        if value is None:
-            value = memo[word] = eval_exact(seq, word, mode).exact
+        value = eval_exact(seq, word, mode).exact
         offsets = [base]
         for q in g.states:
             if q not in path:
@@ -185,10 +183,6 @@ class ValueIteration:
     steps: int
 
 
-def _opt(owner: int) -> Callable:
-    return max if owner == 1 else min
-
-
 def value_iter_disc(g: GameGraph, lam, iterations: int) -> ValueIteration:
     """Fixed-point iteration for the normalized discounted objective.
 
@@ -204,7 +198,7 @@ def value_iter_disc(g: GameGraph, lam, iterations: int) -> ValueIteration:
     v = {q: Fraction(0) for q in g.states}
     for _ in range(iterations):
         v = {
-            q: _opt(g.owner(q))(
+            q: (max if g.owner(q) == 1 else min)(
                 (1 - lam) * e.weight + lam * v[e.dst] for e in g.out_edges(q))
             for q in g.states
         }
@@ -222,7 +216,8 @@ def value_iter_mean(g: GameGraph, steps: int) -> ValueIteration:
     v = {q: Fraction(0) for q in g.states}
     for _ in range(steps):
         v = {
-            q: _opt(g.owner(q))(e.weight + v[e.dst] for e in g.out_edges(q))
+            q: (max if g.owner(q) == 1 else min)(
+                e.weight + v[e.dst] for e in g.out_edges(q))
             for q in g.states
         }
     estimates = {q: v[q] / steps for q in g.states}
@@ -277,34 +272,6 @@ def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
     return phi > value if deviator == 1 else phi < value
 
 
-def _scan_deviations(g: GameGraph, opponent: MemorylessStrategy, deviator: int,
-                     seq: CoeffSeq, mode: str, value: Fraction, max_len: int,
-                     budget_box: list[int],
-                     cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
-    """First improving bounded lasso play, ordered by (cycle, prefix, edges).
-
-    The candidates are the deviator's plays against the fixed opponent
-    that close a cycle within ``max_len`` steps; among those whose payoff
-    beats ``value`` in the deviator's direction, the minimum of the (cycle
-    length, prefix length, edge index path) key is returned with its
-    payoff.  Convergent and ratio-1 sequences take the DP, growing ones
-    the enumerative walk.  ``cache`` lives for one check_memoryless call
-    and keeps slot weights (DP) or phase signs per cycle (walk).
-    """
-    options = _deviation_edges(g, deviator, opponent)
-
-    def spend(amount: int):
-        budget_box[0] -= amount
-        if budget_box[0] < 0:
-            raise BudgetExceededError("deviation search exceeded its budget")
-
-    if analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED:
-        scan = _walk_scan
-    else:
-        scan = _dp_scan
-    return scan(g, options, deviator, seq, mode, value, max_len, spend, cache)
-
-
 def _edge_gains(g: GameGraph, options: dict,
                 value: Fraction) -> dict[str, tuple[int, ...]]:
     """Per-state integer gains U - V of the candidate edges: each reward
@@ -318,7 +285,7 @@ def _edge_gains(g: GameGraph, options: dict,
 
 def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                mode: str, value: Fraction, max_len: int, spend: Callable,
-               cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
+               cache: dict) -> Optional[LassoWord]:
     """Enumerate every walk from the start up to ``max_len`` edges.
 
     Only the growing class comes here.  Each visit of a state already on
@@ -330,10 +297,10 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     whose ratios are the phase limits minus v, so "beats v" is the sign
     of the extreme W_r * V_r, memoized per (cycle, offset) in ``cache``.
     A candidate that cannot precede the best one found so far is skipped;
-    any other costs its cycle length in budget units.  The winning lasso
-    is confirmed by one exact evaluation.  The walk is depth-first over
-    an explicit stack, so its depth is not bounded by the recursion
-    limit.
+    any other costs its cycle length in budget units.  Returns the
+    winning lasso, which check_memoryless confirms exactly.  The walk is
+    depth-first over an explicit stack, so its depth is not bounded by
+    the recursion limit; a walk at ``max_len`` edges gets an empty frame.
     """
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
@@ -393,20 +360,9 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                 if best is None or key < best[0]:
                     best = (key, LassoWord(tuple(rewards[:cut]),
                                            tuple(rewards[cut:])))
-        if depth < max_len:
-            frames.append(iter(enumerate(options[here])))
-        else:
-            states.pop()
-            rewards.pop()
-            gains.pop()
-            trail.pop()
-    if best is None:
-        return None
-    word = best[1]
-    phi = eval_exact(seq, word, mode).exact
-    if not _improves(deviator, phi, value):
-        raise RuntimeError("phase sign test disagrees with the exact evaluator")
-    return word, phi
+        frames.append(iter(enumerate(options[here])) if depth < max_len
+                      else iter(()))
+    return None if best is None else best[1]
 
 
 def _slot_weights(coeffs, seq: CoeffSeq, first: int,
@@ -495,7 +451,7 @@ def _first_walk(options: dict, steps: dict, start: str, weights, score: int,
 
 def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
              mode: str, value: Fraction, max_len: int, spend: Callable,
-             cache: dict) -> Optional[tuple[LassoWord, Fraction]]:
+             cache: dict) -> Optional[LassoWord]:
     """Best-walk DP for the convergent and ratio-1 classes.
 
     The payoff of x u^w is linear-fractional in the rewards.  Its
@@ -515,7 +471,7 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     the window of every class.  Scores are integers; one budget unit per
     DP cell.  Scanning cycle length, then cut, then rebuilding the walk
     greedily by edge index gives the same first witness as enumerating
-    every walk.
+    every walk; it is returned for check_memoryless to confirm exactly.
     """
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
@@ -574,12 +530,7 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             loop, _, _ = _first_walk(
                 options, steps, q, [b * loop_scale for b in betas], score,
                 {q: 0}, spend)
-            word = LassoWord(head, loop)
-            phi = eval_exact(seq, word, mode).exact
-            if not _improves(deviator, phi, value):
-                raise RuntimeError(
-                    "deviation DP disagrees with the exact evaluator")
-            return word, phi
+            return LassoWord(head, loop)
     return None
 
 
@@ -611,7 +562,16 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         return Verdict(VerdictKind.MEMORYLESS_SADDLE, None, mem_bound, budget)
     value = maximin
     max_len = len(g.states) * mem_bound
-    budget_box = [budget]
+    left = budget
+
+    def spend(amount: int):
+        nonlocal left
+        left -= amount
+        if left < 0:
+            raise BudgetExceededError("deviation search exceeded its budget")
+
+    growing = analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED
+    scan = _walk_scan if growing else _dp_scan
     cache: dict = {}
     row_mins = [min(row) for row in report.table]
     col_maxs = [max(column) for column in zip(*report.table)]
@@ -627,13 +587,16 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:
-            found = _scan_deviations(g, response, deviator, seq, mode, value,
-                                     max_len, budget_box, cache)
-            if found is None:
+            word = scan(g, _deviation_edges(g, deviator, response), deviator,
+                        seq, mode, value, max_len, spend, cache)
+            if word is None:
                 beats_every_response = False
                 break
+            phi = eval_exact(seq, word, mode).exact
+            if not _improves(deviator, phi, value):
+                raise RuntimeError(
+                    "deviation search disagrees with the exact evaluator")
             if first is None:
-                word, phi = found
                 first = DeviationWitness(
                     description=(f"player {deviator} plays "
                                  f"{format_lasso(word)} against "
@@ -671,13 +634,8 @@ class MonotonicityWitness:
 
 def _words_by_length(alphabet: Sequence[Fraction], max_len: int,
                      min_len: int = 0) -> list[tuple[Fraction, ...]]:
-    out: list[tuple[Fraction, ...]] = []
-    for length in range(min_len, max_len + 1):
-        if length == 0:
-            out.append(())
-            continue
-        out.extend(itertools.product(alphabet, repeat=length))
-    return out
+    return [word for length in range(min_len, max_len + 1)
+            for word in itertools.product(alphabet, repeat=length)]
 
 
 def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import SequenceFormatError
 from .sequences import as_rational, parse_rational
@@ -37,33 +36,9 @@ class LassoWord:
             return self.prefix[i]
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
-    def symbols(self) -> Iterator[Fraction]:
-        yield from self.prefix
-        while True:
-            yield from self.cycle
-
 
 def lasso(prefix=(), cycle=()) -> LassoWord:
     """Convenience constructor accepting ints/strings."""
-    return LassoWord(tuple(prefix), tuple(cycle))
-
-
-def normalize_lasso(word: LassoWord) -> LassoWord:
-    """Canonical form of the infinite word: primitive cycle, minimal prefix.
-
-    Two lassos denote the same infinite reward word exactly when their
-    normal forms are equal.
-    """
-    cycle = list(word.cycle)
-    k = len(cycle)
-    for d in range(1, k + 1):
-        if k % d == 0 and cycle == cycle[:d] * (k // d):
-            cycle = cycle[:d]
-            break
-    prefix = list(word.prefix)
-    while prefix and prefix[-1] == cycle[-1]:
-        cycle.insert(0, cycle.pop())
-        prefix.pop()
     return LassoWord(tuple(prefix), tuple(cycle))
 
 

@@ -137,8 +137,7 @@ def test_criterion_5_memoryless_determinacy_spot_check():
     start = time.monotonic()
     specs = ["mean", "disc:1/2"]
     for seed in range(50):
-        g = random_game(seed, max_states=5, max_out_degree=3,
-                        weight_lo=-4, weight_hi=4)
+        g = random_game(seed, max_states=5, max_out_degree=3)
         for spec in specs:
             seq = parse_sequence(spec)
             report = solve_enumerative(g, seq)

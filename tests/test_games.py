@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavg import (Edge, FiniteMemoryStrategy, GameFormatError, GameGraph,
-                  LassoWord, MemorylessStrategy, StrategyProfile,
-                  count_memoryless, cycle_choice_gadget, detour_gadget,
-                  enumerate_memoryless, escape_gadget, induced_lasso, lasso,
-                  loops_gadget, normalize_lasso, parse_game, random_game,
-                  serialize_game, two_branch_gadget)
+                  MemorylessStrategy, StrategyProfile, count_memoryless,
+                  cycle_choice_gadget, detour_gadget, enumerate_memoryless,
+                  escape_gadget, induced_lasso, lasso, loops_gadget,
+                  parse_game, random_game, serialize_game, two_branch_gadget)
 
 F = Fraction
 
@@ -232,29 +231,3 @@ class TestFileFormat:
     def test_random_game_deterministic(self):
         assert random_game(42) == random_game(42)
         assert serialize_game(random_game(7)) == serialize_game(random_game(7))
-
-
-class TestNormalizeLasso:
-    def test_unrolled_cycle(self):
-        assert normalize_lasso(lasso((), (3, 3))) == lasso((), (3,))
-
-    def test_absorbed_prefix(self):
-        assert normalize_lasso(lasso((3,), (3,))) == lasso((), (3,))
-        assert normalize_lasso(lasso((1, 2), (0, 4, 1, 2))) == \
-            lasso((), (1, 2, 0, 4))
-
-    def test_already_minimal(self):
-        word = lasso((5,), (1, 2, 0, 4))
-        assert normalize_lasso(word) == word
-
-    @settings(max_examples=50)
-    @given(st.integers(0, 3), st.integers(1, 4), st.integers(1, 3),
-           st.integers(0, 5))
-    def test_presentations_of_same_word_agree(self, m, k, unroll, shift):
-        base = lasso(tuple(range(m)), tuple((i * 7) % 3 for i in range(k)))
-        # unroll the cycle and push part of it into the prefix
-        cyc = base.cycle * unroll
-        shift %= len(cyc)
-        other = LassoWord(base.prefix + cyc[:shift],
-                          cyc[shift:] + cyc[:shift])
-        assert normalize_lasso(base) == normalize_lasso(other)

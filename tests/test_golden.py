@@ -1,0 +1,63 @@
+"""Byte-identical structured output of the north-star CLI rows.
+
+Each row runs ``wavg`` in-process with ``--format structured`` and compares
+stdout byte for byte with ``tests/golden/<name>.json``.  A change that
+alters any answer, witness, order or key fails here.  After an intended
+change of output, regenerate the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from wavg.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name -> (argv, exit code)
+ROWS = {
+    "verify-paper": (["verify-paper"], 0),
+    "find-witness-blocks-1-1_2-mu-1_8": (
+        ["find-witness", "--seq", "blocks:1,1/2;mu=1/8"], 1),
+    "monotone-blocks-2-1-mu-1": (
+        ["monotone", "--seq", "blocks:2,1;mu=1"], 1),
+    "check-detour-4-1-3-blocks-1-1_2-mu-1_8": (
+        ["check-memoryless", "--game", "builtin:detour:4,1,3",
+         "--seq", "blocks:1,1/2;mu=1/8"], 1),
+}
+for _tag, _spec, _codes in (("mean", "mean", (0, 0)),
+                            ("disc-1_2", "disc:1/2", (0, 0)),
+                            ("blocks-2-1-mu-1", "blocks:2,1;mu=1", (0, 0)),
+                            ("geom-2", "geom:2", (0, 1))):
+    for _mode, _code in zip(("liminf", "limsup"), _codes):
+        ROWS[f"check-spike-4-{_tag}-{_mode}"] = (
+            ["check-memoryless", "--game", "builtin:spike:4", "--seq", _spec,
+             "--mode", _mode], _code)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv + ["--format", "structured"])
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_structured_output_is_unchanged(name):
+    argv, want_code = ROWS[name]
+    code, out = _run(argv)
+    assert code == want_code
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, _) in sorted(ROWS.items()):
+        code, out = _run(argv)
+        (GOLDEN / f"{name}.json").write_text(out)
+        print(f"{name}: exit {code}", file=sys.stderr)

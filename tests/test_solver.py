@@ -16,7 +16,7 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
                   mean_sequence, monotone_falsify, parse_sequence,
                   random_game, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
-from wavg import solver
+from wavg import solver, verify
 
 F = Fraction
 
@@ -262,14 +262,14 @@ def _reference_scan(g, options, deviator, seq, mode, value, max_len, spend,
             if solver._improves(deviator, phi, value):
                 key = (depth - cut, cut, tuple(trail))
                 if best is None or key < best[0]:
-                    best = (key, word, phi)
+                    best = (key, word)
         if depth < max_len:
             frames.append(iter(enumerate(options[edge.dst])))
         else:
             states.pop()
             rewards.pop()
             trail.pop()
-    return None if best is None else (best[1], best[2])
+    return None if best is None else best[1]
 
 
 # The DP deviation search against the reference, both deviators, every
@@ -336,18 +336,23 @@ class TestDeviationSearchOracle:
         # Under ratio 1 a cut below the sequence prefix joins its class, so
         # it runs no closed-walk DP of its own.
         seq = parse_sequence("blocks:1,2;mu=1;prefix=5,0,1")
-        boxes = {}
-        scan = solver._scan_deviations
+        spent = []
+        scan = solver._dp_scan
 
         def recording(*args):
-            boxes[id(args[7])] = args[7]
-            return scan(*args)
+            *head, spend, cache = args
 
-        monkeypatch.setattr(solver, "_scan_deviations", recording)
+            def counting(amount):
+                spent.append(amount)
+                spend(amount)
+
+            return scan(*head, counting, cache)
+
+        monkeypatch.setattr(solver, "_dp_scan", recording)
         for seed in ORACLE_SEEDS:
             check_memoryless(_oracle_game(seed), seq, mem_bound=2,
                              budget=1_000_000)
-        assert sum(1_000_000 - box[0] for box in boxes.values()) <= 4_383
+        assert sum(spent) <= 4_383
 
     @pytest.mark.parametrize("spec", ORACLE_CLASSES)
     def test_oracle_cases_hold_witnesses(self, spec):
@@ -382,6 +387,22 @@ class TestDeviationSearchOracle:
         monkeypatch.setattr(solver, "_walk_scan", _reference_scan)
         assert walk == [check_memoryless(g, seq, mem_bound=2, mode=mode)
                         for g in games]
+
+
+class TestWitnessGuard:
+    # Both engines hand their lasso to check_memoryless, which evaluates it
+    # exactly and refuses one that does not beat the value; verify-paper
+    # turns the refusal into failed checks instead of a crash.
+    @pytest.mark.parametrize("engine, spec", [("_dp_scan", "mean"),
+                                              ("_walk_scan", "geom:2")])
+    def test_lasso_not_beating_the_value_is_refused(self, engine, spec,
+                                                    monkeypatch):
+        g, seq = two_branch_gadget(), parse_sequence(spec)
+        monkeypatch.setattr(solver, engine, lambda *args: LassoWord((), (4,)))
+        message = "deviation search disagrees with the exact evaluator"
+        with pytest.raises(RuntimeError, match=message):
+            check_memoryless(g, seq, mem_bound=2)
+        assert verify._deviation(g, seq) == (f"error: {message}",) * 3
 
 
 class TestCycleChoiceCoincidence:
