@@ -388,7 +388,9 @@ def _slot_weights(coeffs, seq: CoeffSeq, first: int,
 
 
 def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
-    """One forward DP step: the best score of each state one edge on."""
+    """One DP step: the best score of each state one move on.  Over the
+    reversed moves it is a backward step, the best completion of each
+    state one edge earlier."""
     out: dict = {}
     for here, score in layer.items():
         for _, dst, gain in steps[here]:
@@ -412,28 +414,21 @@ def _closed_walks(steps: dict, weights, starts, spend: Callable) -> dict:
     return best
 
 
-def _first_walk(options: dict, steps: dict, start: str, weights, score: int,
-                ends: dict, spend: Callable) -> tuple[tuple, str, int]:
+def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
+                score: int, ends: dict,
+                spend: Callable) -> tuple[tuple, str, int]:
     """The edge-index-first walk of len(weights) steps with a positive score.
 
     Step k scores weights[k] times its edge gain, on top of ``score``;
     the walk must stop in a state of ``ends``, whose value is added.  A
-    backward DP gives the best completion from every (step, state), and
-    the walk takes the first edge whose best completion stays positive.
-    Returns the rewards, the end state and the score without the end.
+    backward DP over ``back``, the moves of ``steps`` reversed, gives the
+    best completion from every (step, state), and the walk takes the
+    first edge whose best completion stays positive.  Returns the
+    rewards, the end state and the score without the end.
     """
     completions = [ends]
     for weight in reversed(weights):
-        later = completions[-1]
-        best: dict = {}
-        for here, moves in steps.items():
-            for _, dst, gain in moves:
-                if dst in later:
-                    total = weight * gain + later[dst]
-                    if here not in best or total > best[here]:
-                        best[here] = total
-        spend(len(best))
-        completions.append(best)
+        completions.append(_relax(completions[-1], back, weight, spend))
     completions.reverse()
     rewards, here = [], start
     for k, weight in enumerate(weights):
@@ -483,6 +478,10 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     steps = {q: tuple((idx, e.dst, sign * d)
                       for idx, (e, d) in enumerate(zip(es, gains[q])))
              for q, es in options.items()}
+    back: dict = {q: [] for q in steps}
+    for q, moves in steps.items():
+        for idx, dst, gain in moves:
+            back[dst].append((idx, q, gain))
 
     # classes[cut] = (first position of its class, ratio**laps as num, den);
     # under ratio 1 a cut below m weighs its prefix and head by 0, so it
@@ -525,11 +524,11 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                 continue
             ends = {q: best[q] * loop_scale for q in reach[cut] if q in best}
             head, q, score = _first_walk(
-                options, steps, g.start,
+                options, steps, back, g.start,
                 [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
             loop, _, _ = _first_walk(
-                options, steps, q, [b * loop_scale for b in betas], score,
-                {q: 0}, spend)
+                options, steps, back, q, [b * loop_scale for b in betas],
+                score, {q: 0}, spend)
             return LassoWord(head, loop)
     return None
 
@@ -646,44 +645,40 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
     deterministic order (prefixes and cycles by length then alphabet
     order; loops nested x, y, u, v).
 
-    ``nonempty_only`` restricts the prefixes to nonempty words, covering
-    the stricter reading of the property.  Returns None when the space
-    contains no witness; raises BudgetExceededError if the search is cut
-    short, which is distinct from a verified absence.
+    Each (prefix, cycle) pair is evaluated exactly once into a table with
+    one row per prefix, and the quads compare table rows.  One budget
+    unit is one table entry, charged before any is evaluated, or one
+    compared quad.  ``nonempty_only`` restricts the prefixes to nonempty
+    words, covering the stricter reading of the property.  Returns None
+    when the space contains no witness; raises BudgetExceededError if the
+    search is cut short, which is distinct from a verified absence, and
+    ValueError if the bounds leave no quad to compare.
     """
     alphabet = tuple(as_rational(a) for a in alphabet)
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
     prefixes = _words_by_length(alphabet, max_prefix_len,
                                 min_len=1 if nonempty_only else 0)
-    cycles = [tuple(c) for c in _words_by_length(alphabet, max_cycle_len,
-                                                 min_len=1)]
-    memo: dict[tuple, Fraction] = {}
-
-    def phi(prefix: tuple[Fraction, ...], cycle: tuple[Fraction, ...]) -> Fraction:
-        key = (prefix, cycle)
-        got = memo.get(key)
-        if got is None:
-            got = eval_exact(seq, LassoWord(prefix, cycle), mode).exact
-            memo[key] = got
-        return got
-
-    remaining = budget
-    for x in prefixes:
-        for y in prefixes:
+    cycles = _words_by_length(alphabet, max_cycle_len, min_len=1)
+    if len(set(prefixes)) < 2 or not cycles:
+        raise ValueError("the search needs two distinct prefixes and a "
+                         "cycle; raise the prefix or cycle bound")
+    remaining = budget - len(prefixes) * len(cycles)
+    if remaining < 0:
+        raise BudgetExceededError("monotonicity search exceeded its budget")
+    table = [[eval_exact(seq, LassoWord(x, u), mode).exact for u in cycles]
+             for x in prefixes]
+    for x, row_x in zip(prefixes, table):
+        for y, row_y in zip(prefixes, table):
             if x == y:
                 continue
-            for u in cycles:
-                for v in cycles:
+            for u, phi_xu, phi_yu in zip(cycles, row_x, row_y):
+                for v, phi_xv, phi_yv in zip(cycles, row_x, row_y):
                     remaining -= 1
                     if remaining < 0:
                         raise BudgetExceededError(
                             "monotonicity search exceeded its budget")
-                    phi_xu, phi_xv = phi(x, u), phi(x, v)
-                    if phi_xu > phi_xv:
-                        continue
-                    phi_yu, phi_yv = phi(y, u), phi(y, v)
-                    if phi_yu > phi_yv:
+                    if phi_xu <= phi_xv and phi_yu > phi_yv:
                         return MonotonicityWitness(
                             x=x, y=y,
                             u=LassoWord((), u), v=LassoWord((), v),
@@ -766,11 +761,14 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     one.  Convergent sequences try detour gadgets on reward triples
     built from two-sided approximations of the odd/even split ratio
     (exact value first on each side).  If no gadget yields a
-    witness, the monotonicity falsifier runs as a final route, over
-    prefixes and cycles of length at most 2 on the alphabet {0, 1}.
-    Budget exhaustion returns a not-found report carrying the instances
-    tried.
+    witness, the monotonicity falsifier runs as a final route on the
+    alphabet {0, 1}, over prefixes of length at most 2 and cycles up to
+    the block period, at least 2 and at most 4 long.  Budget exhaustion
+    returns a not-found report carrying the instances tried.
     """
+    if not supports_exact(seq):
+        raise UnsupportedSequenceError(
+            "sequence has no exact evaluator; use eval_approx-based tooling")
     an = analyze(seq)
     tried: list[str] = []
     candidates: list[tuple[str, GameGraph]] = []
@@ -805,7 +803,8 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
         if verdict.kind is VerdictKind.WITNESS_FOUND:
             return SequenceWitnessReport(found=True, game=game,
                                          verdict=verdict, tried=tried)
-    witness = monotone_falsify(seq, (0, 1), 2, 2, mode=mode)
+    witness = monotone_falsify(seq, (0, 1), 2, max(2, min(seq.period, 4)),
+                               mode=mode)
     tried.append(
         "monotonicity search: " + ("witness" if witness else "absent"))
     if witness is not None:

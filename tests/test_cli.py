@@ -178,6 +178,19 @@ class TestFindWitnessAndMonotone:
         code, out, _ = run(capsys, "monotone", "--seq", "mean")
         assert code == 0
 
+    def test_find_witness_without_exact_evaluator(self, capsys):
+        code, _, err = run(capsys, "find-witness", "--seq", "table:1,1,1")
+        assert code == 2
+        assert "no exact evaluator" in err
+
+    @pytest.mark.parametrize("bound", [["--max-prefix", "-1"],
+                                       ["--max-cycle", "0"],
+                                       ["--max-prefix", "0"]])
+    def test_monotone_empty_search_bounds(self, capsys, bound):
+        code, out, _ = run(capsys, "monotone", "--seq", "mean", *bound)
+        assert code == 2
+        assert out == ""
+
 
 class TestStructuredOutput:
     def test_round_trip_rationals(self, capsys):

@@ -26,6 +26,11 @@ ROWS = {
         ["find-witness", "--seq", "blocks:1,1/2;mu=1/8"], 1),
     "monotone-blocks-2-1-mu-1": (
         ["monotone", "--seq", "blocks:2,1;mu=1"], 1),
+    "monotone-blocks-2-1-mu-1-alphabet-m2-2": (
+        ["monotone", "--seq", "blocks:2,1;mu=1",
+         "--alphabet=-2,-1,0,1,2"], 1),
+    "monotone-disc-1_2-alphabet-m1-1": (
+        ["monotone", "--seq", "disc:1/2", "--alphabet=-1,0,1"], 0),
     "check-detour-4-1-3-blocks-1-1_2-mu-1_8": (
         ["check-memoryless", "--game", "builtin:detour:4,1,3",
          "--seq", "blocks:1,1/2;mu=1/8"], 1),

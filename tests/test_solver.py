@@ -425,7 +425,96 @@ class TestCycleChoiceCoincidence:
         assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
 
 
+def _reference_monotone(seq, alphabet, max_prefix_len, max_cycle_len,
+                        mode=LIMINF, nonempty_only=False):
+    """The sweep with each value fetched from a memo on first use."""
+    alphabet = tuple(F(a) for a in alphabet)
+    prefixes = solver._words_by_length(alphabet, max_prefix_len,
+                                       min_len=1 if nonempty_only else 0)
+    cycles = solver._words_by_length(alphabet, max_cycle_len, min_len=1)
+    memo = {}
+
+    def phi(prefix, cycle):
+        if (prefix, cycle) not in memo:
+            memo[prefix, cycle] = eval_exact(seq, lasso(prefix, cycle),
+                                             mode).exact
+        return memo[prefix, cycle]
+
+    for x in prefixes:
+        for y in prefixes:
+            if x == y:
+                continue
+            for u in cycles:
+                for v in cycles:
+                    if phi(x, u) <= phi(x, v) and phi(y, u) > phi(y, v):
+                        return (x, y, u, v, phi(x, u), phi(x, v), phi(y, u),
+                                phi(y, v))
+    return None
+
+
+MONOTONE_CLASSES = ["mean", "disc:1/2", "geom:2", "blocks:2,1;mu=1",
+                    "blocks:1,2,3;mu=1", "blocks:1,1/2;mu=1/8"]
+
+
+def _monotone_fields(w):
+    return None if w is None else (w.x, w.y, w.u.cycle, w.v.cycle, w.phi_xu,
+                                   w.phi_xv, w.phi_yu, w.phi_yv)
+
+
 class TestMonotoneFalsify:
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    @pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (-2, -1, 0)])
+    @pytest.mark.parametrize("spec", MONOTONE_CLASSES)
+    def test_matches_reference(self, spec, alphabet, mode):
+        seq = parse_sequence(spec)
+        w = monotone_falsify(seq, alphabet, 2, 2, mode=mode)
+        assert _monotone_fields(w) == _reference_monotone(seq, alphabet, 2, 2,
+                                                          mode)
+
+    def test_matches_reference_nonempty(self):
+        seq = parse_sequence("blocks:2,1;mu=1")
+        w = monotone_falsify(seq, (-1, 0, 1), 2, 2, nonempty_only=True)
+        assert w is not None
+        assert _monotone_fields(w) == _reference_monotone(
+            seq, (-1, 0, 1), 2, 2, nonempty_only=True)
+
+    @pytest.mark.parametrize("spec, alphabet, calls", [
+        ("blocks:2,1;mu=1", (0, 1), 42), ("mean", (0, 1, 2), 156)])
+    def test_one_evaluation_per_table_entry(self, spec, alphabet, calls,
+                                            monkeypatch):
+        seen = []
+
+        def counting(seq, word, mode=LIMINF):
+            seen.append((word.prefix, word.cycle))
+            return eval_exact(seq, word, mode)
+
+        monkeypatch.setattr(solver, "eval_exact", counting)
+        monotone_falsify(parse_sequence(spec), alphabet, 2, 2)
+        assert len(seen) == len(set(seen)) == calls
+
+    def test_budget_counts_table_entries_and_quads(self, monkeypatch):
+        # 42 table entries and 6 * 6 * 42 = 1,512 quads.
+        seq = mean_sequence()
+        assert monotone_falsify(seq, (0, 1), 2, 2, budget=1_554) is None
+        with pytest.raises(BudgetExceededError):
+            monotone_falsify(seq, (0, 1), 2, 2, budget=1_553)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("evaluated past the budget")
+
+        monkeypatch.setattr(solver, "eval_exact", unreachable)
+        with pytest.raises(BudgetExceededError):
+            monotone_falsify(seq, (0, 1), 2, 2, budget=41)
+
+    @pytest.mark.parametrize("prefix, cycle, nonempty", [
+        (-1, 2, False), (2, 0, False), (0, 2, False), (1, 2, True)])
+    def test_rejects_empty_search_bounds(self, prefix, cycle, nonempty):
+        # Each leaves fewer than two distinct prefixes or no cycle.
+        alphabet = (0,) if nonempty else (0, 1)
+        with pytest.raises(ValueError):
+            monotone_falsify(mean_sequence(), alphabet, prefix, cycle,
+                             nonempty_only=nonempty)
+
     def test_periodic_block_witness(self):
         seq = parse_sequence("blocks:2,1;mu=1")
         w = monotone_falsify(seq, (0, 1), 2, 2)
