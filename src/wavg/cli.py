@@ -228,7 +228,7 @@ def cmd_find_witness(args) -> int:
             w = report.monotonicity
             print(f"monotonicity witness: x={_word(w.x)} y={_word(w.y)} "
                   f"u={format_lasso(w.u)} v={format_lasso(w.v)}")
-            print(f"values: {w.phi_xu} <= {w.phi_xv} but {w.phi_yu} > {w.phi_yv}")
+            print(f"values: {w.phi_xu} < {w.phi_xv} but {w.phi_yu} > {w.phi_yv}")
     return EXIT_WITNESS if report.found else EXIT_OK
 
 
@@ -259,7 +259,7 @@ def cmd_monotone(args) -> int:
         else:
             print(f"witness: x={_word(witness.x)} y={_word(witness.y)} "
                   f"u={format_lasso(witness.u)} v={format_lasso(witness.v)}")
-            print(f"phi(xu)={witness.phi_xu} <= phi(xv)={witness.phi_xv} "
+            print(f"phi(xu)={witness.phi_xu} < phi(xv)={witness.phi_xv} "
                   f"but phi(yu)={witness.phi_yu} > phi(yv)={witness.phi_yv}")
     return EXIT_WITNESS if witness is not None else EXIT_OK
 

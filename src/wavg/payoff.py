@@ -10,9 +10,9 @@ sequences), a sliding-window ratio per residue when rho > 1 (growth).
 The payoff is the least of them (liminf) or the greatest (limsup).
 
 ``eval_approx`` is the independent truncation oracle: it accumulates
-exact partial ratios up to a horizon and brackets the tail limit per
-congruence phase by extrapolating the sampled numerators/denominators,
-never reusing the closed form above.
+exact integer partial sums up to a horizon and brackets the tail limit
+per congruence phase by extrapolating the sampled numerators and
+denominators, never reusing the closed form above.
 """
 
 from __future__ import annotations
@@ -236,21 +236,29 @@ def _fit_affine(samples: tuple[Fraction, Fraction, Fraction]) -> Fraction:
     return y0 - y1
 
 
+def _partial_sums(coeffs, unit: int, word: LassoWord, horizon: int):
+    """The partial sums of c_i w_i and of c_i for n = 0 .. horizon, as
+    integers over the units (unit * scale, unit): ``coeffs`` holds c_0 ..
+    c_(horizon-1) over ``unit``, and the word is scaled once to ``scale``."""
+    ints, scale = _scaled(word.prefix + word.cycle)
+    prefix, cycle = ints[:word.prefix_len], ints[word.prefix_len:]
+    symbols = prefix + cycle * (horizon // len(cycle) + 1)
+    nums = list(itertools.accumulate(map(operator.mul, coeffs, symbols),
+                                     initial=0))
+    dens = list(itertools.accumulate(coeffs, initial=0))
+    return nums, dens, unit * scale, unit
+
+
 def _approx_table(table: RawCoeffTable, word: LassoWord, horizon: int,
                   mode: str) -> PayoffValue:
     if horizon > len(table.values):
         raise ValueError(
             f"horizon {horizon} exceeds table length {len(table.values)}")
-    ratios = []
-    num = Fraction(0)
-    den = Fraction(0)
-    for i in range(horizon):
-        c = table.values[i]
-        num += c * word.symbol(i)
-        den += c
-        ratios.append(num / den)
+    nums, dens, num_unit, den_unit = _partial_sums(
+        *_scaled(table.values[:horizon]), word, horizon)
     window = min(2 * word.cycle_len, horizon)
-    tail = ratios[-window:]
+    tail = [Fraction(nums[n] * den_unit, dens[n] * num_unit)
+            for n in range(horizon - window + 1, horizon + 1)]
     return PayoffValue(mode=mode, bracket=(min(tail), max(tail)),
                        horizon_used=horizon)
 
@@ -259,7 +267,10 @@ def eval_approx(seq: Union[CoeffSeq, RawCoeffTable], word: LassoWord,
                 horizon: int, mode: str = LIMINF) -> PayoffValue:
     """Truncation-based payoff bracket.
 
-    Partial ratios are accumulated exactly up to the horizon.  For raw
+    Partial sums are accumulated exactly up to the horizon, as integer
+    partial sums over one unit: the coefficients c_0 .. c_(horizon-1)
+    from ``seq.terms()`` and the word's rewards are each scaled once to
+    integers.  Fractions are built only at the samples.  For raw
     tables the bracket is the min/max over the final window.  For
     block-geometric sequences, each congruence phase of the tail is
     extrapolated from its last three samples (the numerator and the
@@ -288,33 +299,23 @@ def eval_approx(seq: Union[CoeffSeq, RawCoeffTable], word: LassoWord,
             f"pair (transient {settled} plus three super-periods of "
             f"{super_period})")
 
-    nums = [Fraction(0)]
-    dens = [Fraction(0)]
-    num = Fraction(0)
-    den = Fraction(0)
-    coeffs = seq.terms()
-    for i in range(horizon):
-        c = next(coeffs)
-        num += c * word.symbol(i)
-        den += c
-        nums.append(num)
-        dens.append(den)
-
+    nums, dens, num_unit, den_unit = _partial_sums(
+        *_int_coeffs(seq, horizon), word, horizon)
     rho = mu ** (super_period // p)
     lows = []
     highs = []
     for r in range(super_period):
         n1 = horizon - ((horizon - r) % super_period)
         points = (n1, n1 - super_period, n1 - 2 * super_period)
-        num_samples = tuple(nums[n] for n in points)
-        den_samples = tuple(dens[n] for n in points)
+        num_samples = tuple(Fraction(nums[n], num_unit) for n in points)
+        den_samples = tuple(Fraction(dens[n], den_unit) for n in points)
         if mu == 1:
             limit = _fit_affine(num_samples) / _fit_affine(den_samples)
         else:
             lead_n, const_n = _fit(num_samples, rho)
             lead_d, const_d = _fit(den_samples, rho)
             limit = _phase_limit(mu, lead_n, const_n, lead_d, const_d)
-        sample = nums[n1] / dens[n1]
+        sample = num_samples[0] / den_samples[0]
         lows.append(min(sample, limit))
         highs.append(max(sample, limit))
     if mode == LIMINF:

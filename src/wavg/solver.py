@@ -56,8 +56,8 @@ from typing import Callable, Optional, Sequence
 from .errors import BudgetExceededError, UnsupportedSequenceError
 from .games import (GameGraph, MemorylessStrategy, detour_gadget,
                     enumerate_memoryless, escape_gadget, two_branch_gadget)
-from .payoff import (LIMINF, PayoffValue, _int_coeffs, _tail_limits,
-                     eval_exact, supports_exact)
+from .payoff import (LIMINF, PayoffValue, _int_coeffs, _scaled,
+                     _tail_limits, eval_exact, supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
 
@@ -183,44 +183,62 @@ class ValueIteration:
     steps: int
 
 
+def _int_moves(g: GameGraph) -> tuple[dict, int]:
+    """Each state's out-edges as (weight, destination) pairs, the weights
+    as integers over their least common denominator, and that unit."""
+    weights, scale = _scaled([e.weight for e in g.edges])
+    moves = {q: [] for q in g.states}
+    for e, w in zip(g.edges, weights):
+        moves[e.src].append((w, e.dst))
+    return moves, scale
+
+
 def value_iter_disc(g: GameGraph, lam, iterations: int) -> ValueIteration:
     """Fixed-point iteration for the normalized discounted objective.
 
     Iterates v(q) <- opt over edges of (1-lam)*w + lam*v(dst) from v=0,
-    exactly in rationals; after T steps the sup-norm error is at most
-    lam**T times the largest absolute reward.
+    exactly: with lam = a/b and the weights W over one unit L, it keeps
+    the integers u_t = b**t * L * v_t, where u_(t+1) = opt of
+    b**t * (b-a) * W + a * u_t(dst), and divides once at the end.  After
+    T steps the sup-norm error is at most lam**T times the largest
+    absolute reward.
     """
     lam = as_rational(lam)
     if not 0 < lam < 1:
         raise ValueError("discount factor must lie strictly between 0 and 1")
     if iterations < 1:
         raise ValueError("iterations must be positive")
-    v = {q: Fraction(0) for q in g.states}
+    a, b = lam.numerator, lam.denominator
+    moves, scale = _int_moves(g)
+    u = dict.fromkeys(g.states, 0)
+    lift = b - a
     for _ in range(iterations):
-        v = {
-            q: (max if g.owner(q) == 1 else min)(
-                (1 - lam) * e.weight + lam * v[e.dst] for e in g.out_edges(q))
-            for q in g.states
-        }
+        u = {q: (max if g.owner(q) == 1 else min)(
+                 lift * w + a * u[dst] for w, dst in moves[q])
+             for q in g.states}
+        lift *= b
+    unit = scale * b ** iterations
     bound = lam ** iterations * g.max_abs_weight()
-    return ValueIteration(values=v, error_bound=bound, steps=iterations)
+    return ValueIteration(values={q: Fraction(u[q], unit) for q in g.states},
+                          error_bound=bound, steps=iterations)
 
 
 def value_iter_mean(g: GameGraph, steps: int) -> ValueIteration:
     """T-step total-reward iteration; v_T/T approximates the mean value.
 
-    The estimate is within 2*|Q|*W/T of each state's mean-payoff value.
+    The totals are kept exactly, as integers over the weights' least
+    common denominator, and divided once at the end.  The estimate is
+    within 2*|Q|*W/T of each state's mean-payoff value.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    v = {q: Fraction(0) for q in g.states}
+    moves, scale = _int_moves(g)
+    u = dict.fromkeys(g.states, 0)
     for _ in range(steps):
-        v = {
-            q: (max if g.owner(q) == 1 else min)(
-                e.weight + v[e.dst] for e in g.out_edges(q))
-            for q in g.states
-        }
-    estimates = {q: v[q] / steps for q in g.states}
+        u = {q: (max if g.owner(q) == 1 else min)(
+                 w + u[dst] for w, dst in moves[q])
+             for q in g.states}
+    estimates = {q: Fraction(u[q], scale * steps) for q in g.states}
     bound = Fraction(2 * len(g.states)) * g.max_abs_weight() / steps
     return ValueIteration(values=estimates, error_bound=bound, steps=steps)
 
@@ -617,7 +635,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
 
 @dataclass
 class MonotonicityWitness:
-    """Finite prefixes x, y and cycles u, v with phi(xu) <= phi(xv) but
+    """Finite prefixes x, y and cycles u, v with phi(xu) < phi(xv) but
     phi(yu) > phi(yv), refuting the order-preservation property that
     memoryless optimality requires."""
 
@@ -637,6 +655,27 @@ def _words_by_length(alphabet: Sequence[Fraction], max_len: int,
             for word in itertools.product(alphabet, repeat=length)]
 
 
+def _order_bits(row: list[Fraction]) -> tuple[int, int]:
+    """Bitsets over the ordered pairs (u, v) of a table row, bit u*C + v:
+    where row[u] < row[v], and where row[u] > row[v].  The row is sorted
+    once and its ties grouped by ==, which costs less than hashing
+    Fractions."""
+    width = len(row)
+    lower, same, seen = [0] * width, [0] * width, 0
+    for _, group in itertools.groupby(
+            sorted(range(width), key=row.__getitem__), key=row.__getitem__):
+        group = list(group)
+        mask = sum(1 << v for v in group)
+        for v in group:
+            lower[v], same[v] = seen, mask
+        seen |= mask
+    below = above = 0
+    for u in range(width):
+        below |= (seen ^ lower[u] ^ same[u]) << (u * width)
+        above |= lower[u] << (u * width)
+    return below, above
+
+
 def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
                      max_cycle_len: int, mode: str = LIMINF,
                      budget: int = 10_000_000,
@@ -646,11 +685,16 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
     order; loops nested x, y, u, v).
 
     Each (prefix, cycle) pair is evaluated exactly once into a table with
-    one row per prefix, and the quads compare table rows.  One budget
-    unit is one table entry, charged before any is evaluated, or one
-    compared quad.  ``nonempty_only`` restricts the prefixes to nonempty
-    words, covering the stricter reading of the property.  Returns None
-    when the space contains no witness; raises BudgetExceededError if the
+    one row per prefix.  Each row x then becomes two bitsets over the C**2
+    ordered cycle pairs (u, v), bit u*C + v: ``below`` where phi(xu) <
+    phi(xv) and ``above`` where phi(xu) > phi(xv).  A pair of prefixes
+    x != y witnesses at the lowest bit of below[x] & above[y], which is
+    the first quad in the u, v order.  One budget unit is one table
+    entry, charged before any is evaluated, or one quad: C**2 for a pair
+    without a witness, and the witness's index + 1 for the pair with
+    one.  ``nonempty_only`` restricts the prefixes to nonempty words,
+    covering the stricter reading of the property.  Returns None when
+    the space contains no witness; raises BudgetExceededError if the
     search is cut short, which is distinct from a verified absence, and
     ValueError if the bounds leave no quad to compare.
     """
@@ -668,22 +712,25 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
         raise BudgetExceededError("monotonicity search exceeded its budget")
     table = [[eval_exact(seq, LassoWord(x, u), mode).exact for u in cycles]
              for x in prefixes]
-    for x, row_x in zip(prefixes, table):
-        for y, row_y in zip(prefixes, table):
+    quads = len(cycles) ** 2
+    below, above = zip(*map(_order_bits, table))
+    for x, row_x, below_x in zip(prefixes, table, below):
+        for y, row_y, above_y in zip(prefixes, table, above):
             if x == y:
                 continue
-            for u, phi_xu, phi_yu in zip(cycles, row_x, row_y):
-                for v, phi_xv, phi_yv in zip(cycles, row_x, row_y):
-                    remaining -= 1
-                    if remaining < 0:
-                        raise BudgetExceededError(
-                            "monotonicity search exceeded its budget")
-                    if phi_xu <= phi_xv and phi_yu > phi_yv:
-                        return MonotonicityWitness(
-                            x=x, y=y,
-                            u=LassoWord((), u), v=LassoWord((), v),
-                            phi_xu=phi_xu, phi_xv=phi_xv,
-                            phi_yu=phi_yu, phi_yv=phi_yv)
+            hits = below_x & above_y
+            spent = (hits & -hits).bit_length() if hits else quads
+            if remaining < spent:
+                raise BudgetExceededError(
+                    "monotonicity search exceeded its budget")
+            remaining -= spent
+            if hits:
+                iu, iv = divmod(spent - 1, len(cycles))
+                return MonotonicityWitness(
+                    x=x, y=y,
+                    u=LassoWord((), cycles[iu]), v=LassoWord((), cycles[iv]),
+                    phi_xu=row_x[iu], phi_xv=row_x[iv],
+                    phi_yu=row_y[iu], phi_yv=row_y[iv])
     return None
 
 

@@ -29,11 +29,22 @@ ROWS = {
     "monotone-blocks-2-1-mu-1-alphabet-m2-2": (
         ["monotone", "--seq", "blocks:2,1;mu=1",
          "--alphabet=-2,-1,0,1,2"], 1),
+    "monotone-blocks-1-mu-0": (
+        ["monotone", "--seq", "blocks:1;mu=0"], 0),
     "monotone-disc-1_2-alphabet-m1-1": (
         ["monotone", "--seq", "disc:1/2", "--alphabet=-1,0,1"], 0),
     "check-detour-4-1-3-blocks-1-1_2-mu-1_8": (
         ["check-memoryless", "--game", "builtin:detour:4,1,3",
          "--seq", "blocks:1,1/2;mu=1/8"], 1),
+    "eval-word-disc-2_3-horizon-160": (
+        ["eval-word", "--seq", "disc:2/3",
+         "--word", "prefix=1,-2/3;cycle=1/2,3", "--horizon", "160"], 0),
+    "eval-word-geom-3_2-horizon-160-limsup": (
+        ["eval-word", "--seq", "geom:3/2", "--word", "cycle=1,0,2",
+         "--horizon", "160", "--mode", "limsup"], 0),
+    "eval-word-table-1x6": (
+        ["eval-word", "--seq", "table:1,1,1,1,1,1", "--word", "cycle=1,0"],
+        0),
 }
 for _tag, _spec, _codes in (("mean", "mean", (0, 0)),
                             ("disc-1_2", "disc:1/2", (0, 0)),

@@ -1,5 +1,6 @@
 """Payoff evaluators: exact closed forms, the truncation oracle, agreement."""
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 from wavg import (CoeffSeq, LassoWord, PayoffValue, RawCoeffTable,
                   UnsupportedSequenceError, analyze, disc_sum, discounted,
                   eval_approx, eval_exact, geometric, lasso, mean_payoff,
-                  mean_sequence, parse_lasso, parse_sequence, rotation_values,
-                  supports_exact)
+                  mean_sequence, parse_lasso, parse_sequence, random_game,
+                  rotation_values, supports_exact)
+
+from wavg import payoff, solver
+from wavg.payoff import _fit, _fit_affine, _phase_limit
 
 from conftest import block_sequences, lassos
 
@@ -216,6 +220,108 @@ class TestEvalApprox:
         exact = eval_exact(seq, word, "limsup").exact
         horizon = word.prefix_len + 4 * word.cycle_len + 40
         assert approx_contains(seq, word, horizon, exact, "limsup")
+
+
+def _reference_approx(seq, word, horizon, mode):
+    """The truncation oracle with running Fraction sums, term by term."""
+    if isinstance(seq, RawCoeffTable):
+        ratios = []
+        num = den = F(0)
+        for i in range(horizon):
+            num += seq.values[i] * word.symbol(i)
+            den += seq.values[i]
+            ratios.append(num / den)
+        tail = ratios[-min(2 * word.cycle_len, horizon):]
+        return min(tail), max(tail)
+    p, mu = seq.period, seq.ratio
+    super_period = lcm(p, word.cycle_len)
+    nums, dens = [F(0)], [F(0)]
+    coeffs = seq.terms()
+    for i in range(horizon):
+        c = next(coeffs)
+        nums.append(nums[-1] + c * word.symbol(i))
+        dens.append(dens[-1] + c)
+    rho = mu ** (super_period // p)
+    lows, highs = [], []
+    for r in range(super_period):
+        n1 = horizon - ((horizon - r) % super_period)
+        points = (n1, n1 - super_period, n1 - 2 * super_period)
+        num_samples = tuple(nums[n] for n in points)
+        den_samples = tuple(dens[n] for n in points)
+        if mu == 1:
+            limit = _fit_affine(num_samples) / _fit_affine(den_samples)
+        else:
+            lead_n, const_n = _fit(num_samples, rho)
+            lead_d, const_d = _fit(den_samples, rho)
+            limit = _phase_limit(mu, lead_n, const_n, lead_d, const_d)
+        sample = nums[n1] / dens[n1]
+        lows.append(min(sample, limit))
+        highs.append(max(sample, limit))
+    if mode == "liminf":
+        return min(lows), min(highs)
+    return max(lows), max(highs)
+
+
+def _seeded_word(rng):
+    def symbol():
+        return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+    return lasso([symbol() for _ in range(rng.randint(0, 3))],
+                 [symbol() for _ in range(rng.randint(1, 6))])
+
+
+# The word-sweep benchmark's exact classes, plus ratio 0.
+APPROX_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
+                  "blocks:1,2,3;mu=1", "blocks:1,1/2;mu=1/8;prefix=3,1",
+                  "geom:2", "geom:3", "geom:3/2", "blocks:1;mu=0"]
+
+
+class TestEvalApproxMatchesFractionLoop:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec", APPROX_CLASSES)
+    def test_sequence_brackets(self, spec, seed):
+        seq = parse_sequence(spec)
+        rng = random.Random(seed)
+        for mode in ("liminf", "limsup"):
+            for _ in range(3):
+                word = _seeded_word(rng)
+                got = eval_approx(seq, word, 160, mode).bracket
+                assert got == _reference_approx(seq, word, 160, mode)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_table_brackets(self, seed):
+        rng = random.Random(seed)
+        table = RawCoeffTable(tuple(F(rng.randint(1, 9), rng.randint(1, 4))
+                                    for _ in range(40)))
+        for horizon in (16, 40):
+            for mode in ("liminf", "limsup"):
+                word = _seeded_word(rng)
+                got = eval_approx(table, word, horizon, mode).bracket
+                assert got == _reference_approx(table, word, horizon, mode)
+
+
+class TestOraclesAvoidTheClosedForm:
+    def test_truncation_oracle_and_value_iteration(self, monkeypatch):
+        game = random_game(4)
+        word = lasso((F(1, 2),), (3, -1, 0))
+        specs = ["geom:3/2", "disc:2/3", "blocks:2,1;mu=1"]
+        want = ([eval_approx(parse_sequence(spec), word, 40, mode).bracket
+                 for spec in specs for mode in ("liminf", "limsup")],
+                solver.value_iter_disc(game, F(2, 3), 12).values,
+                solver.value_iter_mean(game, 12).values)
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("an oracle reached the closed form")
+
+        for module in (payoff, solver):
+            monkeypatch.setattr(module, "_tail_limits", closed_form)
+            monkeypatch.setattr(module, "eval_exact", closed_form)
+        with pytest.raises(AssertionError):
+            eval_exact(parse_sequence("mean"), word)
+        got = ([eval_approx(parse_sequence(spec), word, 40, mode).bracket
+                for spec in specs for mode in ("liminf", "limsup")],
+               solver.value_iter_disc(game, F(2, 3), 12).values,
+               solver.value_iter_mean(game, 12).values)
+        assert got == want
 
 
 class TestPayoffValue:

@@ -158,6 +158,47 @@ class TestValueIteration:
         assert b2 == b1 / 2 ** 10
 
 
+def _reference_value_iteration(g, steps, lam=None):
+    """Value iteration on Fraction values at every step; the mean totals
+    are divided by the steps at the end."""
+    v = {q: F(0) for q in g.states}
+    for _ in range(steps):
+        v = {q: (max if g.owner(q) == 1 else min)(
+                 e.weight + v[e.dst] if lam is None
+                 else (1 - lam) * e.weight + lam * v[e.dst]
+                 for e in g.out_edges(q))
+             for q in g.states}
+    return v if lam is not None else {q: v[q] / steps for q in g.states}
+
+
+def _fractional_game():
+    """random_game(3) with each weight divided by 2, 3 or 7 in turn."""
+    g = random_game(3)
+    edges = tuple(Edge(e.src, e.dst, e.weight / (2, 3, 7)[i % 3])
+                  for i, e in enumerate(g.edges))
+    return GameGraph(g.states, g.owners, edges, g.start)
+
+
+VALUE_ITERATION_GAMES = [random_game(seed) for seed in range(10)] + [
+    _fractional_game()]
+
+
+class TestValueIterationMatchesFractionLoop:
+    @pytest.mark.parametrize("index", range(len(VALUE_ITERATION_GAMES)))
+    def test_discounted(self, index):
+        g = VALUE_ITERATION_GAMES[index]
+        for lam, steps in ((F(1, 2), 40), (F(9, 10), 15), (F(2, 3), 1)):
+            assert value_iter_disc(g, lam, steps).values == (
+                _reference_value_iteration(g, steps, lam))
+
+    @pytest.mark.parametrize("index", range(len(VALUE_ITERATION_GAMES)))
+    def test_mean(self, index):
+        g = VALUE_ITERATION_GAMES[index]
+        for steps in (1, 7, 200):
+            assert value_iter_mean(g, steps).values == (
+                _reference_value_iteration(g, steps))
+
+
 class TestCheckMemoryless:
     def test_two_branch_witness(self):
         verdict = check_memoryless(two_branch_gadget(), geometric(2),
@@ -425,9 +466,11 @@ class TestCycleChoiceCoincidence:
         assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
 
 
-def _reference_monotone(seq, alphabet, max_prefix_len, max_cycle_len,
-                        mode=LIMINF, nonempty_only=False):
-    """The sweep with each value fetched from a memo on first use."""
+def _reference_quads(seq, alphabet, max_prefix_len, max_cycle_len,
+                     mode=LIMINF, nonempty_only=False):
+    """Every quad the sweep compares, in its order, as (x, y, u, v,
+    phi_xu, phi_xv, phi_yu, phi_yv), each value fetched from a memo on
+    first use."""
     alphabet = tuple(F(a) for a in alphabet)
     prefixes = solver._words_by_length(alphabet, max_prefix_len,
                                        min_len=1 if nonempty_only else 0)
@@ -446,10 +489,18 @@ def _reference_monotone(seq, alphabet, max_prefix_len, max_cycle_len,
                 continue
             for u in cycles:
                 for v in cycles:
-                    if phi(x, u) <= phi(x, v) and phi(y, u) > phi(y, v):
-                        return (x, y, u, v, phi(x, u), phi(x, v), phi(y, u),
-                                phi(y, v))
-    return None
+                    yield (x, y, u, v, phi(x, u), phi(x, v), phi(y, u),
+                           phi(y, v))
+
+
+def _breaks_monotonicity(quad):
+    return quad[4] < quad[5] and quad[6] > quad[7]
+
+
+def _reference_monotone(*args, **kwargs):
+    """The first quad with phi_xu < phi_xv but phi_yu > phi_yv, or None."""
+    return next(filter(_breaks_monotonicity,
+                       _reference_quads(*args, **kwargs)), None)
 
 
 MONOTONE_CLASSES = ["mean", "disc:1/2", "geom:2", "blocks:2,1;mu=1",
@@ -505,6 +556,17 @@ class TestMonotoneFalsify:
         monkeypatch.setattr(solver, "eval_exact", unreachable)
         with pytest.raises(BudgetExceededError):
             monotone_falsify(seq, (0, 1), 2, 2, budget=41)
+
+    def test_budget_stops_at_the_witness(self):
+        # 7 prefixes by 6 cycles in the table, then the quads up to and
+        # including the first witness.
+        seq = parse_sequence("blocks:2,1;mu=1")
+        quads = 1 + next(i for i, quad in enumerate(
+            _reference_quads(seq, (0, 1), 2, 2)) if _breaks_monotonicity(quad))
+        w = monotone_falsify(seq, (0, 1), 2, 2, budget=42 + quads)
+        assert _monotone_fields(w) == _reference_monotone(seq, (0, 1), 2, 2)
+        with pytest.raises(BudgetExceededError):
+            monotone_falsify(seq, (0, 1), 2, 2, budget=42 + quads - 1)
 
     @pytest.mark.parametrize("prefix, cycle, nonempty", [
         (-1, 2, False), (2, 0, False), (0, 2, False), (1, 2, True)])
@@ -565,6 +627,18 @@ class TestFindWitness:
         assert not report.found
         assert report.monotonicity is None
         assert len(report.tried) >= 3
+
+    @pytest.mark.parametrize("spec", ["blocks:1;mu=0",
+                                      "blocks:0;mu=1;prefix=2"])
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    def test_first_reward_payoff_silent(self, spec, mode):
+        # The first reward decides the payoff, so after any nonempty
+        # prefix every cycle ties with every other; a tie is no witness.
+        seq = parse_sequence(spec)
+        assert monotone_falsify(seq, (0, 1), 2, 2, mode=mode) is None
+        report = find_witness_sequence_failure(seq, mode=mode)
+        assert not report.found
+        assert report.tried[-1] == "monotonicity search: absent"
 
     def test_periodic_block_monotonicity_route(self):
         report = find_witness_sequence_failure(parse_sequence("blocks:2,1;mu=1"))
