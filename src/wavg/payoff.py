@@ -143,15 +143,22 @@ def _tail_limits(coeffs, symbols, head: int, num: int,
     """
     window = coeffs[head:]
     terms = list(map(operator.mul, window, symbols[head:]))
-    w, v = sum(terms), sum(window)
     if num <= den:
         n = sum(map(operator.mul, coeffs[:head], symbols[:head]))
         d = sum(coeffs[:head])
-        return [(n * (den - num) + w * den, d * (den - num) + v * den)]
-    w, v, lift = w * den, v * den, num - den
-    return [(w + lift * p, v + lift * q) for p, q in zip(
-        itertools.accumulate(terms[:-1], initial=0),
-        itertools.accumulate(window[:-1], initial=0))]
+        return [(n * (den - num) + sum(terms) * den,
+                 d * (den - num) + sum(window) * den)]
+    return list(zip(_phase_sums(terms, num, den),
+                    _phase_sums(window, num, den)))
+
+
+def _phase_sums(window, num: int, den: int) -> list[int]:
+    """den times the window sums from each phase r of a tail growing by
+    num/den > 1: den * S + (num - den) * (the first r values), where S
+    sums the whole window."""
+    whole, lift = sum(window) * den, num - den
+    return [whole + lift * part
+            for part in itertools.accumulate(window[:-1], initial=0)]
 
 
 def eval_exact(seq: CoeffSeq, word: LassoWord, mode: str = LIMINF) -> PayoffValue:
@@ -172,17 +179,29 @@ def eval_exact(seq: CoeffSeq, word: LassoWord, mode: str = LIMINF) -> PayoffValu
         raise UnsupportedSequenceError(
             "the reciprocal partial sums have no single limit, so the payoff "
             "is not a finite rational for every word; use eval_approx")
-    head = max(seq.prefix_len, word.prefix_len)
-    span = math.lcm(seq.period, word.cycle_len)
-    rho = seq.ratio ** (span // seq.period)
     ints, unit = _scaled(word.prefix + word.cycle)
-    prefix, cycle = ints[:word.prefix_len], ints[word.prefix_len:]
+    return PayoffValue(mode=mode, exact=_extreme_limit(
+        seq, ints[:word.prefix_len], ints[word.prefix_len:], unit, mode))
+
+
+def _extreme_limit(seq: CoeffSeq, prefix: tuple[int, ...],
+                   cycle: tuple[int, ...], unit: int, mode: str) -> Fraction:
+    """The payoff of the lasso word prefix cycle^w whose rewards are the
+    given integers over ``unit``: the least (liminf) or greatest (limsup)
+    phase limit from _tail_limits, picked by comparing the limits as
+    integers over their common denominator.  It does no checks;
+    eval_exact makes them."""
+    head = max(seq.prefix_len, len(prefix))
+    span = math.lcm(seq.period, len(cycle))
+    laps = span // seq.period
     symbols = (prefix + cycle * ((head + span) // len(cycle) + 1))[:head + span]
     pairs = _tail_limits(_int_coeffs(seq, head + span)[0], symbols, head,
-                         rho.numerator, rho.denominator)
-    values = [Fraction(n, d * unit) for n, d in pairs]
-    return PayoffValue(mode=mode,
-                       exact=min(values) if mode == LIMINF else max(values))
+                         seq.ratio.numerator ** laps,
+                         seq.ratio.denominator ** laps)
+    scale = math.lcm(*(d for _, d in pairs))
+    n, d = (min if mode == LIMINF else max)(
+        pairs, key=lambda pair: pair[0] * (scale // pair[1]))
+    return Fraction(n, d * unit)
 
 
 def _phase_limit(mu: Fraction, lead_n: Fraction, const_n: Fraction,

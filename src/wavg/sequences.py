@@ -54,7 +54,8 @@ class CoeffSeq:
     ``prefix`` holds the explicit initial coefficients, ``block`` the base
     block values and ``ratio`` the per-repetition scale factor (mu >= 0).
     An all-zero block is pinned to ratio 0 since the tail is identically
-    zero whatever the ratio.
+    zero whatever the ratio.  The hash is computed once, at construction,
+    so the caches keyed by a sequence do not rehash its Fractions.
     """
 
     prefix: tuple[Fraction, ...] = ()
@@ -75,8 +76,12 @@ class CoeffSeq:
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "block", block)
         object.__setattr__(self, "ratio", ratio)
+        object.__setattr__(self, "_hash", hash((prefix, block, ratio)))
         if self.term(0) == 0:
             raise SequenceFormatError("first coefficient must be nonzero")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def prefix_len(self) -> int:

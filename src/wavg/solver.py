@@ -3,10 +3,14 @@
 ``solve_enumerative`` builds the full payoff table over memoryless
 profiles and reads off maximin/minimax exactly.  It fills the table from
 the play tree: one depth-first walk from the start meets each distinct
-memoryless play once, evaluates it once and writes its value into every
-profile that plays it, with no per-profile replay.  ``check_memoryless``
-then searches for finite-memory deviations: against each opponent best
-response it looks at the deviator's ultimately periodic plays with
+memoryless play once, evaluates it once on the game's weights scaled to
+integers, and writes its id into every profile that plays it, with no
+per-profile replay.  The distinct values are ranked once, equal values
+sharing a rank, and the row minima and column maxima are taken over the
+integer ranks; the table holds each play's exact value.
+``check_memoryless`` picks the value-attaining replies from the same
+ranks and searches for finite-memory deviations: against each opponent
+best response it looks at the deviator's ultimately periodic plays with
 prefix+cycle length up to max_len = |Q| * mem_bound (the configuration
 bound of a mem_bound-state strategy), ordered by cycle length, then
 prefix length, then edge order.  Any play strictly beating the
@@ -34,10 +38,12 @@ The search takes one of two paths, chosen by the sequence class:
   conjunctions do not split into per-state optima.  The other two sides
   need one phase only, but take the same path, so every walk is
   enumerated.  "Beats v" is the sign of the extreme phase of the payoff
-  module's integer per-phase kernel, fed the cycle's gains U - V and
-  memoized per (cycle, phase offset); no candidate is evaluated
-  exactly.  One budget unit is one cycle symbol of a candidate that could
-  still precede the best one found.
+  module's integer per-phase kernel, fed the cycle's gains U - V.  The
+  kernel's denominators depend only on the span, so their signs are
+  found once per span, and the numerators once per (cycle, phase
+  offset); no candidate is evaluated exactly.  One budget unit is one
+  cycle symbol of a candidate that could still precede the best one
+  found.
 
 Either way the engine returns only the lasso; ``check_memoryless``
 confirms it by one exact evaluation, and reports an empty search as a
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -56,8 +63,9 @@ from typing import Callable, Optional, Sequence
 from .errors import BudgetExceededError, UnsupportedSequenceError
 from .games import (GameGraph, MemorylessStrategy, detour_gadget,
                     enumerate_memoryless, escape_gadget, two_branch_gadget)
-from .payoff import (LIMINF, PayoffValue, _int_coeffs, _scaled,
-                     _tail_limits, eval_exact, supports_exact)
+from .payoff import (LIMINF, PayoffValue, _check_mode, _extreme_limit,
+                     _int_coeffs, _phase_sums, _scaled, eval_exact,
+                     supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
 
@@ -76,56 +84,82 @@ class SolveReport:
     table: list[list[Fraction]]
 
 
+# The default bound on the number of memoryless profiles a table covers.
+_TABLE_BUDGET = 500_000
+
+
 def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
-                      budget: int = 500_000) -> SolveReport:
+                      budget: int = _TABLE_BUDGET) -> SolveReport:
     """Solve by tabulating every memoryless profile's exact payoff.
 
     The table is filled from the play tree: each distinct play is found
-    once and evaluated once, and its value goes to every profile that
-    plays it; no profile's play is replayed.  Ties are broken by
+    once and evaluated once, and its id goes to every profile that plays
+    it; no profile's play is replayed.  The distinct values are ranked
+    once, equal values sharing a rank, and the row minima and column
+    maxima are taken over the integer ranks.  Ties are broken by
     enumeration order (first strategy found).  The number of profiles
     must not exceed ``budget``.
     """
+    return _solve_ranked(g, seq, mode, budget)[0]
+
+
+def _solve_ranked(g: GameGraph, seq: CoeffSeq, mode: str,
+                  budget: int) -> tuple[SolveReport, list[int], list[int]]:
+    """solve_enumerative's report, with the rank of each row's minimum
+    and of each column's maximum among the table's distinct values."""
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
             "sequence has no exact evaluator; use eval_approx-based tooling")
     p1s = list(enumerate_memoryless(g, 1))
     p2s = list(enumerate_memoryless(g, 2))
-    if len(p1s) * len(p2s) > budget:
+    width = len(p2s)
+    if len(p1s) * width > budget:
         raise BudgetExceededError(
-            f"{len(p1s) * len(p2s)} memoryless profiles exceed budget {budget}")
-    cells = _play_tree_values(g, seq, mode)
-    table = [cells[i:i + len(p2s)] for i in range(0, len(cells), len(p2s))]
-    row_mins = [min(row) for row in table]
-    col_maxs = [max(column) for column in zip(*table)]
-    maximin = max(row_mins)
-    minimax = min(col_maxs)
-    p1_opt = p1s[row_mins.index(maximin)]
-    p2_opt = p2s[col_maxs.index(minimax)]
-    return SolveReport(
-        maximin=PayoffValue(mode=mode, exact=maximin),
-        minimax=PayoffValue(mode=mode, exact=minimax),
-        p1_optimal=p1_opt,
-        p2_optimal=p2_opt,
+            f"{len(p1s) * width} memoryless profiles exceed budget {budget}")
+    _check_mode(mode)
+    cells, values = _play_tree_values(g, seq, mode)
+    # Sorted once on integers over the values' common denominator:
+    # levels[r] is the r-th least distinct value, rank[k] that of play k.
+    keys = _scaled(values)[0]
+    levels: list[Fraction] = []
+    rank = [0] * len(values)
+    last = None
+    for k in sorted(range(len(values)), key=keys.__getitem__):
+        if keys[k] != last:
+            levels.append(values[k])
+            last = keys[k]
+        rank[k] = len(levels) - 1
+    ranked = [rank[k] for k in cells]
+    row_mins = [min(ranked[i:i + width]) for i in range(0, len(ranked), width)]
+    col_maxs = [max(ranked[j::width]) for j in range(width)]
+    maximin, minimax = max(row_mins), min(col_maxs)
+    report = SolveReport(
+        maximin=PayoffValue(mode=mode, exact=levels[maximin]),
+        minimax=PayoffValue(mode=mode, exact=levels[minimax]),
+        p1_optimal=p1s[row_mins.index(maximin)],
+        p2_optimal=p2s[col_maxs.index(minimax)],
         saddle=maximin == minimax,
         p1_strategies=p1s,
         p2_strategies=p2s,
-        table=table,
+        table=[[values[k] for k in cells[i:i + width]]
+               for i in range(0, len(cells), width)],
     )
+    return report, row_mins, col_maxs
 
 
 def _play_tree_values(g: GameGraph, seq: CoeffSeq,
-                      mode: str) -> list[Fraction]:
-    """The payoff of every memoryless profile, row-major by (sigma, pi).
+                      mode: str) -> tuple[list[int], list[Fraction]]:
+    """The play id of every memoryless profile, row-major by (sigma, pi),
+    and the payoff of every play by id.
 
     A profile's index is mixed-radix in its edge indices, in the order of
     enumerate_memoryless: owned states in g.states order, the last one
     fastest, player 1's digits above player 2's.  A depth-first walk from
     the start, over an explicit stack, fixes a state's edge index only
     when the walk first reaches it.  An edge back to a state on the path
-    closes the play: a distinct play, evaluated once, whose value goes to
-    every cell that agrees with the fixed indices, whatever the states off
-    the path choose.
+    closes the play: a distinct play, evaluated once on the game's
+    weights scaled to integers, whose id goes to every cell that agrees
+    with the fixed indices, whatever the states off the path choose.
     """
     # shifts[q][k]: how far edge index k of state q moves a profile's index.
     shifts: dict[str, list[int]] = {}
@@ -134,40 +168,42 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
         for q in reversed(g.owned_states(player)):
             shifts[q] = [k * size for k in range(len(g.out_edges(q)))]
             size *= len(shifts[q])
+    moves, unit = _int_moves(g)
     cells: list = [None] * size
+    values: list[Fraction] = []
     path = {g.start: 0}
-    rewards: list[Fraction] = []
+    rewards: list[int] = []
     # One frame per state on the path: the state, the index shift of the
-    # choices above it, and its remaining edges.
-    frames = [(g.start, 0, iter(enumerate(g.out_edges(g.start))))]
+    # choices above it, and its remaining moves.
+    frames = [(g.start, 0, iter(enumerate(moves[g.start])))]
     while frames:
-        here, above, edges = frames[-1]
-        step = next(edges, None)
+        here, above, steps = frames[-1]
+        step = next(steps, None)
         if step is None:
             frames.pop()
             del path[here]
             if rewards:
                 rewards.pop()
             continue
-        idx, edge = step
+        idx, (weight, dst) = step
         base = above + shifts[here][idx]
-        cut = path.get(edge.dst)
+        cut = path.get(dst)
         if cut is None:
-            path[edge.dst] = len(rewards) + 1
-            rewards.append(edge.weight)
-            frames.append((edge.dst, base,
-                           iter(enumerate(g.out_edges(edge.dst)))))
+            path[dst] = len(rewards) + 1
+            rewards.append(weight)
+            frames.append((dst, base, iter(enumerate(moves[dst]))))
             continue
-        word = LassoWord(tuple(rewards[:cut]),
-                         tuple(rewards[cut:]) + (edge.weight,))
-        value = eval_exact(seq, word, mode).exact
+        play = len(values)
+        values.append(_extreme_limit(seq, tuple(rewards[:cut]),
+                                     tuple(rewards[cut:]) + (weight,),
+                                     unit, mode))
         offsets = [base]
         for q in g.states:
             if q not in path:
                 offsets = [o + shift for o in offsets for shift in shifts[q]]
         for o in offsets:
-            cells[o] = value
-    return cells
+            cells[o] = play
+    return cells, values
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +346,12 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     the walk closes a candidate lasso x u^w.  Its payoff is the extreme
     phase limit of the tail, which ignores x except for the offset
     (cut - m) mod gcd(p, |u|) of the cycle against the block: the set of
-    phase limits is the same for every cut with that offset.  Fed the
-    cycle's integer gains U - V, _tail_limits gives pairs (W_r, V_r)
-    whose ratios are the phase limits minus v, so "beats v" is the sign
-    of the extreme W_r * V_r, memoized per (cycle, offset) in ``cache``.
+    phase limits is the same for every cut with that offset.  The phase
+    limits minus v are the ratios W_r / V_r of payoff._tail_limits fed
+    the cycle's integer gains U - V.  V_r depends only on the span, so
+    its sign is found once per span, and W_r once per (cycle, offset):
+    "beats v" is the extreme of the signs of W_r * V_r, memoized per
+    (cycle, offset) in ``cache``.
     A candidate that cannot precede the best one found so far is skipped;
     any other costs its cycle length in budget units.  Returns the
     winning lasso, which check_memoryless confirms exactly.  The walk is
@@ -325,19 +363,24 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     extreme = min if mode == LIMINF else max
     wanted = 1 if deviator == 1 else -1
     edge_gains = _edge_gains(g, options, value)
-    tails: dict[int, tuple[int, ...]] = {}
+    # Per span: the window c_m .. c_(m+span-1), rho = num/den and the
+    # sign of each phase's V_r, none of which depends on the cycle.
+    tails: dict[int, tuple] = {}
 
     def sign(cycle: tuple[int, ...], phase: int) -> int:
         # Tail positions m, m+1, ... against the cycle entered at -phase.
         k = len(cycle)
         span = math.lcm(p, k)
         if span not in tails:
-            tails[span] = _int_coeffs(seq, m + span)[0][m:]
+            window = _int_coeffs(seq, m + span)[0][m:]
+            num, den = a ** (span // p), b ** (span // p)
+            tails[span] = (window, num, den, [
+                (v > 0) - (v < 0) for v in _phase_sums(window, num, den)])
+        window, num, den, v_signs = tails[span]
         symbols = (cycle[k - phase:] + cycle[:k - phase]) * (span // k)
-        laps = span // p
-        top = extreme([w * v for w, v in _tail_limits(
-            tails[span], symbols, 0, a ** laps, b ** laps)])
-        return (top > 0) - (top < 0)
+        terms = list(map(operator.mul, window, symbols))
+        return extreme([((w > 0) - (w < 0)) * v for w, v in zip(
+            _phase_sums(terms, num, den), v_signs)])
 
     best: Optional[tuple[tuple, LassoWord]] = None
     states = [g.start]
@@ -564,7 +607,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
-    report = solve_enumerative(g, seq, mode=mode)
+    report, row_mins, col_maxs = _solve_ranked(g, seq, mode, _TABLE_BUDGET)
     maximin = report.maximin.exact
     minimax = report.minimax.exact
     if maximin != minimax:
@@ -590,17 +633,17 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     growing = analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED
     scan = _walk_scan if growing else _dp_scan
     cache: dict = {}
-    row_mins = [min(row) for row in report.table]
-    col_maxs = [max(column) for column in zip(*report.table)]
+    level = max(row_mins)  # the rank of the saddle value
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
         if deviator == 1:
-            responses = [pi for j, pi in enumerate(report.p2_strategies)
-                         if col_maxs[j] == value]
+            responses = [pi for pi, top in zip(report.p2_strategies, col_maxs)
+                         if top == level]
         else:
-            responses = [sigma for i, sigma in enumerate(report.p1_strategies)
-                         if row_mins[i] == value]
+            responses = [sigma for sigma, low in zip(report.p1_strategies,
+                                                     row_mins)
+                         if low == level]
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:

@@ -54,6 +54,16 @@ for _tag, _spec, _codes in (("mean", "mean", (0, 0)),
         ROWS[f"check-spike-4-{_tag}-{_mode}"] = (
             ["check-memoryless", "--game", "builtin:spike:4", "--seq", _spec,
              "--mode", _mode], _code)
+ROWS["solve-two-branch-geom-2"] = (
+    ["solve", "--game", "builtin:two-branch", "--seq", "geom:2"], 0)
+ROWS["solve-spike-4-mean"] = (
+    ["solve", "--game", "builtin:spike:4", "--seq", "mean"], 0)
+for _tag, _argv in (
+        ("mean", ["--seq", "mean"]),
+        ("blocks-1-1_2-mu-1_8", ["--seq", "blocks:1,1/2;mu=1/8"]),
+        ("geom-2-limsup", ["--seq", "geom:2", "--mode", "limsup"])):
+    ROWS[f"solve-circulant-8-{_tag}"] = (
+        ["solve", "--game", str(GOLDEN / "circulant-8.game")] + _argv, 0)
 
 
 def _run(argv):

@@ -312,9 +312,12 @@ class TestOraclesAvoidTheClosedForm:
         def closed_form(*args, **kwargs):
             raise AssertionError("an oracle reached the closed form")
 
-        for module in (payoff, solver):
-            monkeypatch.setattr(module, "_tail_limits", closed_form)
-            monkeypatch.setattr(module, "eval_exact", closed_form)
+        for module, names in (
+                (payoff, ("_tail_limits", "_phase_sums", "_extreme_limit",
+                          "eval_exact")),
+                (solver, ("_phase_sums", "_extreme_limit", "eval_exact"))):
+            for name in names:
+                monkeypatch.setattr(module, name, closed_form)
         with pytest.raises(AssertionError):
             eval_exact(parse_sequence("mean"), word)
         got = ([eval_approx(parse_sequence(spec), word, 40, mode).bracket

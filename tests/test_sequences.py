@@ -239,6 +239,21 @@ class TestConstructionAndParsing:
         assert seq.ratio == 0
         assert analyze(seq).classification is Classification.CONVERGENT
 
+    def test_hash_is_computed_once(self, monkeypatch):
+        seq = parse_sequence("blocks:1,1/2;mu=1/8;prefix=3")
+        same = CoeffSeq((3,), (1, F(1, 2)), F(1, 8))
+        pinned, zero = CoeffSeq((5,), (0, 0), 7), CoeffSeq((5,), (0, 0), 0)
+        hashes = [hash(seq), hash(pinned)]
+
+        def refuse(self):
+            raise AssertionError("a sequence rehashed its Fractions")
+
+        monkeypatch.setattr(Fraction, "__hash__", refuse)
+        assert [hash(seq), hash(pinned)] == hashes
+        assert hash(same) == hash(seq) and same == seq
+        assert hash(zero) == hash(pinned) and zero == pinned
+        assert {seq: 1}[same] == 1
+
     def test_parse_mean(self):
         assert parse_sequence("mean") == mean_sequence()
 

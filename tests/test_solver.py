@@ -1,6 +1,9 @@
 """Enumerative solving, value iteration, verdicts and witness search."""
 
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
                   detour_gadget, discounted, enumerate_memoryless,
                   escape_gadget, eval_approx, eval_exact,
                   find_witness_sequence_failure, format_lasso, geometric,
-                  induced_lasso, lasso, LassoWord, loops_gadget,
+                  induced_lasso, lasso, LassoWord, loops_gadget, parse_game,
                   mean_sequence, monotone_falsify, parse_sequence,
                   random_game, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
@@ -100,17 +103,79 @@ TABLE_CLASSES = ["mean", "disc:1/2", "blocks:2,1;mu=1", "blocks:1,1/2;mu=1/8",
                  "geom:2", "blocks:1,2;mu=2"]
 
 
+def _binary_game(seed):
+    """random_game(seed, 6, 3) with every weight redrawn from {0, 1}, so
+    that many plays, rows and columns tie."""
+    g = random_game(seed, max_states=6, max_out_degree=3)
+    rng = random.Random(seed)
+    edges = tuple(Edge(e.src, e.dst, F(rng.randint(0, 1))) for e in g.edges)
+    return GameGraph(g.states, g.owners, edges, g.start)
+
+
+BINARY_GAMES = [_binary_game(seed) for seed in range(20)]
+# 8 states on the circulant graph i -> i+1, i+2, i+5 (mod 8): 3**8 profiles.
+CIRCULANT = parse_game(
+    (Path(__file__).parent / "golden" / "circulant-8.game").read_text())
+CIRCULANT_PLAYS = 497
+
+
 class TestPlayTreeTable:
+    @staticmethod
+    def _check(g, seq, mode):
+        """Asserts the table and the first optimal strategies; returns
+        whether more than one row or column attains the value."""
+        report = solve_enumerative(g, seq, mode=mode)
+        table, i, j = _reference_table(g, seq, mode)
+        assert report.table == table
+        assert report.p1_strategies.index(report.p1_optimal) == i
+        assert report.p2_strategies.index(report.p2_optimal) == j
+        row_mins = [min(row) for row in table]
+        col_maxs = [max(column) for column in zip(*table)]
+        return (row_mins.count(row_mins[i]) > 1
+                or col_maxs.count(col_maxs[j]) > 1)
+
     @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
     @pytest.mark.parametrize("spec", TABLE_CLASSES)
     def test_matches_per_profile_replay(self, spec, mode):
         seq = parse_sequence(spec)
         for g in TABLE_GAMES:
-            report = solve_enumerative(g, seq, mode=mode)
-            table, i, j = _reference_table(g, seq, mode)
-            assert report.table == table
-            assert report.p1_strategies.index(report.p1_optimal) == i
-            assert report.p2_strategies.index(report.p2_optimal) == j
+            self._check(g, seq, mode)
+
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    @pytest.mark.parametrize("spec", TABLE_CLASSES)
+    def test_ties_on_binary_weights(self, spec, mode):
+        # Equal values share a rank, so the first index among tied rows
+        # and columns decides the optimal strategies.
+        seq = parse_sequence(spec)
+        ties = [self._check(g, seq, mode) for g in BINARY_GAMES]
+        assert ties.count(True) >= 10
+
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    @pytest.mark.parametrize("spec", ["mean", "geom:2"])
+    def test_circulant_game(self, spec, mode):
+        assert math.prod(len(CIRCULANT.out_edges(q))
+                         for q in CIRCULANT.states) == 6561
+        self._check(CIRCULANT, parse_sequence(spec), mode)
+
+    def test_one_core_evaluation_per_play(self, monkeypatch):
+        # The table evaluates each distinct play once, by the integer core
+        # of eval_exact, and never calls eval_exact itself.
+        seq = parse_sequence("mean")
+        expected = solve_enumerative(CIRCULANT, seq).table
+        plays = []
+        core = solver._extreme_limit
+
+        def counting(seq, prefix, cycle, unit, mode):
+            plays.append((prefix, cycle))
+            return core(seq, prefix, cycle, unit, mode)
+
+        def refuse(*args):
+            raise AssertionError("eval_exact called by the table")
+
+        monkeypatch.setattr(solver, "_extreme_limit", counting)
+        monkeypatch.setattr(solver, "eval_exact", refuse)
+        assert solve_enumerative(CIRCULANT, seq).table == expected
+        assert len(plays) == CIRCULANT_PLAYS
 
 
 class TestValueIteration:
