@@ -42,6 +42,15 @@ ROWS = {
     "eval-word-geom-3_2-horizon-160-limsup": (
         ["eval-word", "--seq", "geom:3/2", "--word", "cycle=1,0,2",
          "--horizon", "160", "--mode", "limsup"], 0),
+    "eval-word-blocks-2-1-mu-1-horizon-160": (
+        ["eval-word", "--seq", "blocks:2,1;mu=1",
+         "--word", "prefix=1;cycle=0,2", "--horizon", "160"], 0),
+    "eval-word-blocks-1-1_2-mu-1_8-prefix-3-1-horizon-160": (
+        ["eval-word", "--seq", "blocks:1,1/2;mu=1/8;prefix=3,1",
+         "--word", "cycle=1,0,0", "--horizon", "160"], 0),
+    "eval-word-geom-3-horizon-160": (
+        ["eval-word", "--seq", "geom:3", "--word", "prefix=2;cycle=1,-1",
+         "--horizon", "160"], 0),
     "eval-word-table-1x6": (
         ["eval-word", "--seq", "table:1,1,1,1,1,1", "--word", "cycle=1,0"],
         0),
