@@ -204,55 +204,46 @@ def _extreme_limit(seq: CoeffSeq, prefix: tuple[int, ...],
     return Fraction(n, d * unit)
 
 
-def _phase_limit(mu: Fraction, lead_n: Fraction, const_n: Fraction,
-                 lead_d: Fraction, const_d: Fraction) -> Fraction:
-    """Limit of (const_n + lead_n*x)/(const_d + lead_d*x) along the tail.
+def _fitted_limit(nums: tuple[int, int, int], dens: tuple[int, int, int],
+                  a: int, b: int) -> tuple[int, int]:
+    """Integer (numerator, denominator) of a phase's limit, fitted to its
+    samples y0, y1, y2 of the partial sums at n, n - span and n - 2*span.
 
-    For mu < 1 the fitted variable x shrinks to 0; for mu > 1 it grows
-    without bound; mu == 1 is the affine case where the slopes dominate.
+    Along a phase the samples are y_j = const + lead * rho**(-j) with
+    rho = a/b: lead = a(y0 - y1)/(a - b) and const = (a y1 - b y0)/(a - b).
+    The third sample checks the trend: a(a y1 - b y0) + b^2 (y0 - y1) ==
+    a(a - b) y2, or y0 - y1 == y1 - y2 for the affine rho = 1, or all
+    three equal for rho = 0.  For rho < 1 the leading term shrinks and the
+    constants decide the limit; otherwise the leading terms do.
     """
-    if mu < 1:
-        if const_d != 0:
-            return const_n / const_d
-        if const_n == 0 and lead_d != 0:
-            return lead_n / lead_d
+    for y0, y1, y2 in (nums, dens):
+        if a == b:
+            if y0 - y1 != y1 - y2:
+                raise RuntimeError(
+                    "tail samples do not lie on a single affine trend")
+        elif a == 0:
+            if not y0 == y1 == y2:
+                raise RuntimeError(
+                    "tail samples of a truncated sequence disagree")
+        elif a * (a * y1 - b * y0) + b * b * (y0 - y1) != a * (a - b) * y2:
+            raise RuntimeError(
+                "tail samples do not lie on a single geometric trend")
+    (n0, n1, _), (d0, d1, _) = nums, dens
+    lead = n0 - n1, d0 - d1
+    const = a * n1 - b * n0, a * d1 - b * d0
+    if a < b:
+        if const[1]:
+            return const
+        if not const[0] and lead[1]:
+            return lead
         raise UnsupportedSequenceError(
             "partial sums vanish in the limit; the payoff is not a finite rational")
-    # mu >= 1: growth dominated by the leading coefficients
-    if lead_d != 0:
-        return lead_n / lead_d
-    if lead_n == 0:
-        return const_n / const_d
+    if lead[1]:
+        return lead
+    if not lead[0]:
+        return const
     raise UnsupportedSequenceError(
         "partial ratios diverge along a phase; no finite bracket exists")
-
-
-def _fit(samples: tuple[Fraction, Fraction, Fraction],
-         rho: Fraction) -> tuple[Fraction, Fraction]:
-    """Fit y_j = const + lead * rho**(-j) to three tail samples (j = 0,1,2).
-
-    Returns (lead, const) with the third sample used as an exactness
-    check; the growth factor of the leading term is absorbed into it.
-    """
-    y0, y1, y2 = samples
-    if rho == 0:
-        if not y0 == y1 == y2:
-            raise RuntimeError("tail samples of a truncated sequence disagree")
-        return Fraction(0), y0
-    inv = 1 / rho
-    lead = (y0 - y1) / (1 - inv)
-    const = y0 - lead
-    if const + lead * inv * inv != y2:
-        raise RuntimeError("tail samples do not lie on a single geometric trend")
-    return lead, const
-
-
-def _fit_affine(samples: tuple[Fraction, Fraction, Fraction]) -> Fraction:
-    """Per-step increment of an affine tail (three consistency-checked samples)."""
-    y0, y1, y2 = samples
-    if y0 - y1 != y1 - y2:
-        raise RuntimeError("tail samples do not lie on a single affine trend")
-    return y0 - y1
 
 
 def _partial_sums(coeffs, unit: int, word: LassoWord, horizon: int):
@@ -289,14 +280,14 @@ def eval_approx(seq: Union[CoeffSeq, RawCoeffTable], word: LassoWord,
     Partial sums are accumulated exactly up to the horizon, as integer
     partial sums over one unit: the coefficients c_0 .. c_(horizon-1)
     from ``seq.terms()`` and the word's rewards are each scaled once to
-    integers.  Fractions are built only at the samples.  For raw
-    tables the bracket is the min/max over the final window.  For
-    block-geometric sequences, each congruence phase of the tail is
-    extrapolated from its last three samples (the numerator and the
-    denominator are each geometric-plus-constant per phase, directly
-    from the sequence definition), and the bracket spans from the
-    sampled values to the fitted limits, so it always contains the true
-    liminf/limsup.
+    integers.  For raw tables the bracket is the min/max over the final
+    window.  For block-geometric sequences, each congruence phase of the
+    tail is extrapolated from its last three samples by _fitted_limit, on
+    the integers (the numerator and the denominator are each
+    geometric-plus-constant per phase, directly from the sequence
+    definition), and the bracket spans from the sampled values to the
+    fitted limits, so it always contains the true liminf/limsup.
+    Fractions are built only for each phase's last sample and limit.
     """
     _check_mode(mode)
     k = word.cycle_len
@@ -310,7 +301,9 @@ def eval_approx(seq: Union[CoeffSeq, RawCoeffTable], word: LassoWord,
     analyze(seq)  # admission check
     m, p, mu = seq.prefix_len, seq.period, seq.ratio
     super_period = math.lcm(p, k)
-    settled = max(m, word.prefix_len)
+    # The oldest sample lies past the transient.  Under ratio 0 the
+    # partial sums settle only once the block has passed, at m + p.
+    settled = max(m + p - 1 if mu == 0 else m, word.prefix_len)
     min_horizon = settled + 3 * super_period
     if horizon < min_horizon:
         raise ValueError(
@@ -320,21 +313,17 @@ def eval_approx(seq: Union[CoeffSeq, RawCoeffTable], word: LassoWord,
 
     nums, dens, num_unit, den_unit = _partial_sums(
         *_int_coeffs(seq, horizon), word, horizon)
-    rho = mu ** (super_period // p)
+    laps = super_period // p
+    a, b = mu.numerator ** laps, mu.denominator ** laps
     lows = []
     highs = []
     for r in range(super_period):
         n1 = horizon - ((horizon - r) % super_period)
         points = (n1, n1 - super_period, n1 - 2 * super_period)
-        num_samples = tuple(Fraction(nums[n], num_unit) for n in points)
-        den_samples = tuple(Fraction(dens[n], den_unit) for n in points)
-        if mu == 1:
-            limit = _fit_affine(num_samples) / _fit_affine(den_samples)
-        else:
-            lead_n, const_n = _fit(num_samples, rho)
-            lead_d, const_d = _fit(den_samples, rho)
-            limit = _phase_limit(mu, lead_n, const_n, lead_d, const_d)
-        sample = num_samples[0] / den_samples[0]
+        n, d = _fitted_limit(tuple(nums[i] for i in points),
+                             tuple(dens[i] for i in points), a, b)
+        limit = Fraction(n * den_unit, d * num_unit)
+        sample = Fraction(nums[n1] * den_unit, dens[n1] * num_unit)
         lows.append(min(sample, limit))
         highs.append(max(sample, limit))
     if mode == LIMINF:

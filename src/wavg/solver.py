@@ -384,6 +384,9 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
 
     best: Optional[tuple[tuple, LassoWord]] = None
     states = [g.start]
+    # Each state's positions on the walk, ascending: the cuts it closes.
+    visits: dict[str, list[int]] = {q: [] for q in g.states}
+    visits[g.start].append(0)
     rewards: list[Fraction] = []
     gains: list[int] = []
     trail: list[int] = []
@@ -393,7 +396,7 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         if step is None:
             frames.pop()
             if trail:
-                states.pop()
+                visits[states.pop()].pop()
                 rewards.pop()
                 gains.pop()
                 trail.pop()
@@ -405,9 +408,8 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         rewards.append(edge.weight)
         trail.append(idx)
         depth = len(rewards)
-        for cut in range(depth):
-            if states[cut] != here:
-                continue
+        cuts = visits[here]
+        for cut in cuts:
             if best is not None and (depth - cut, cut) > best[0][:2]:
                 continue
             spend(depth - cut)
@@ -421,6 +423,7 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                 if best is None or key < best[0]:
                     best = (key, LassoWord(tuple(rewards[:cut]),
                                            tuple(rewards[cut:])))
+        cuts.append(depth)
         frames.append(iter(enumerate(options[here])) if depth < max_len
                       else iter(()))
     return None if best is None else best[1]
@@ -603,11 +606,12 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     every opponent strategy that attains the saddle value; memoryless
     optimality of the pair is refuted only if every such opponent can be
     beaten.  Step 3: otherwise report no witness up to the bound, which
-    is explicitly not a proof of optimality.
+    is explicitly not a proof of optimality.  The table and the search
+    share ``budget``: the table costs one unit per memoryless profile.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
-    report, row_mins, col_maxs = _solve_ranked(g, seq, mode, _TABLE_BUDGET)
+    report, row_mins, col_maxs = _solve_ranked(g, seq, mode, budget)
     maximin = report.maximin.exact
     minimax = report.minimax.exact
     if maximin != minimax:
@@ -622,7 +626,8 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         return Verdict(VerdictKind.MEMORYLESS_SADDLE, None, mem_bound, budget)
     value = maximin
     max_len = len(g.states) * mem_bound
-    left = budget
+    # One unit per profile of the table, then the search's own units.
+    left = budget - len(report.p1_strategies) * len(report.p2_strategies)
 
     def spend(amount: int):
         nonlocal left

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, structured output."""
 
 import json
+import pathlib
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from wavg import serialize_game, solver, two_branch_gadget
 from wavg.cli import main
 
 F = Fraction
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -73,6 +75,20 @@ class TestEvalWord:
         assert code == 0
         assert out.strip() == "37/15"
 
+    @pytest.mark.parametrize("spec, least", [("blocks:1,1;mu=0", 19),
+                                             ("blocks:1,1;mu=0;prefix=2", 20)])
+    def test_ratio_zero_block_horizon(self, capsys, spec, least):
+        # Under ratio 0 the partial sums settle only after the block, so
+        # every sample of the tail fit must lie past it.
+        code, _, err = run(capsys, "eval-word", "--seq", spec,
+                           "--word", "cycle=1,0,0", "--horizon", str(least - 1))
+        assert code == 2
+        assert f"at least {least}" in err
+        code, out, _ = run(capsys, "eval-word", "--seq", spec,
+                           "--word", "cycle=1,0,0", "--horizon", str(least))
+        assert code == 0
+        assert out.strip() == f"bracket[1/2, 1/2] horizon={least}"
+
 
 class TestSolve:
     def test_builtin_two_branch(self, capsys):
@@ -128,6 +144,18 @@ class TestCheckMemoryless:
                            "builtin:detour:1", "--seq", "mean")
         assert code == 2
         assert "expected 3" in err
+
+    @pytest.mark.parametrize("budget, error", [
+        (6560, "6561 memoryless profiles exceed budget 6560"),
+        (6561, "deviation search exceeded its budget")])
+    def test_table_profiles_share_the_budget(self, capsys, budget, error):
+        # circulant-8 has 3**8 = 6561 memoryless profiles.
+        code, out, err = run(capsys, "check-memoryless", "--game",
+                             str(GOLDEN / "circulant-8.game"), "--seq", "mean",
+                             "--budget", str(budget))
+        assert code == 3
+        assert out == ""
+        assert error in err
 
     def test_long_walks_do_not_recurse(self, capsys):
         code, out, _ = run(capsys, "check-memoryless", "--game",

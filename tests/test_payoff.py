@@ -15,7 +15,6 @@ from wavg import (CoeffSeq, LassoWord, PayoffValue, RawCoeffTable,
                   rotation_values, supports_exact)
 
 from wavg import payoff, solver
-from wavg.payoff import _fit, _fit_affine, _phase_limit
 
 from conftest import block_sequences, lassos
 
@@ -246,20 +245,53 @@ def _reference_approx(seq, word, horizon, mode):
     for r in range(super_period):
         n1 = horizon - ((horizon - r) % super_period)
         points = (n1, n1 - super_period, n1 - 2 * super_period)
-        num_samples = tuple(nums[n] for n in points)
-        den_samples = tuple(dens[n] for n in points)
-        if mu == 1:
-            limit = _fit_affine(num_samples) / _fit_affine(den_samples)
-        else:
-            lead_n, const_n = _fit(num_samples, rho)
-            lead_d, const_d = _fit(den_samples, rho)
-            limit = _phase_limit(mu, lead_n, const_n, lead_d, const_d)
+        limit = _reference_limit(tuple(nums[n] for n in points),
+                                 tuple(dens[n] for n in points), rho)
         sample = nums[n1] / dens[n1]
         lows.append(min(sample, limit))
         highs.append(max(sample, limit))
     if mode == "liminf":
         return min(lows), min(highs)
     return max(lows), max(highs)
+
+
+def _reference_limit(num_samples, den_samples, rho):
+    """The limit of num/den along one phase, from Fraction fits of
+    y_j = const + lead * rho**(-j) to the samples y0, y1, y2 (latest first)
+    of the numerator and of the denominator; y2 checks each fit."""
+    fits = []
+    for y0, y1, y2 in (num_samples, den_samples):
+        if rho == 1:
+            if y0 - y1 != y1 - y2:
+                raise RuntimeError(
+                    "tail samples do not lie on a single affine trend")
+            fits.append((y0 - y1, None))
+        elif rho == 0:
+            if not y0 == y1 == y2:
+                raise RuntimeError(
+                    "tail samples of a truncated sequence disagree")
+            fits.append((F(0), y0))
+        else:
+            lead = (y0 - y1) / (1 - 1 / rho)
+            const = y0 - lead
+            if const + lead / rho ** 2 != y2:
+                raise RuntimeError(
+                    "tail samples do not lie on a single geometric trend")
+            fits.append((lead, const))
+    (lead_n, const_n), (lead_d, const_d) = fits
+    if rho < 1:
+        if const_d != 0:
+            return const_n / const_d
+        if const_n == 0 and lead_d != 0:
+            return lead_n / lead_d
+        raise UnsupportedSequenceError(
+            "partial sums vanish in the limit; the payoff is not a finite rational")
+    if lead_d != 0:
+        return lead_n / lead_d
+    if lead_n == 0:
+        return const_n / const_d
+    raise UnsupportedSequenceError(
+        "partial ratios diverge along a phase; no finite bracket exists")
 
 
 def _seeded_word(rng):
@@ -269,10 +301,20 @@ def _seeded_word(rng):
                  [symbol() for _ in range(rng.randint(1, 6))])
 
 
-# The word-sweep benchmark's exact classes, plus ratio 0.
+# The word-sweep benchmark's exact classes, plus ratio 0 with blocks of
+# length 1 and 2.
 APPROX_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
                   "blocks:1,2,3;mu=1", "blocks:1,1/2;mu=1/8;prefix=3,1",
-                  "geom:2", "geom:3", "geom:3/2", "blocks:1;mu=0"]
+                  "geom:2", "geom:3", "geom:3/2", "blocks:1;mu=0",
+                  "blocks:1,1;mu=0", "blocks:2,-1/2;mu=0;prefix=1"]
+
+
+def _outcome(evaluate, *args):
+    """The bracket, or the type and message of the error raised."""
+    try:
+        return evaluate(*args)
+    except (RuntimeError, ValueError, UnsupportedSequenceError) as exc:
+        return type(exc), str(exc)
 
 
 class TestEvalApproxMatchesFractionLoop:
@@ -297,6 +339,87 @@ class TestEvalApproxMatchesFractionLoop:
                 word = _seeded_word(rng)
                 got = eval_approx(table, word, horizon, mode).bracket
                 assert got == _reference_approx(table, word, horizon, mode)
+
+    @pytest.mark.parametrize("spec, word, horizon, mode, error", [
+        ("blocks:1,-3;mu=3", "prefix=1;cycle=6,-3,4/3,4", 64, "limsup",
+         "partial ratios diverge along a phase; no finite bracket exists"),
+        ("blocks:-2;mu=1/2;prefix=2,1,1", "prefix=-3;cycle=-2", 160, "liminf",
+         "partial sums vanish in the limit; the payoff is not a finite "
+         "rational"),
+    ])
+    def test_fit_errors(self, spec, word, horizon, mode, error):
+        seq, word = parse_sequence(spec), parse_lasso(word)
+        with pytest.raises(UnsupportedSequenceError, match=error):
+            eval_approx(seq, word, horizon, mode)
+        with pytest.raises(UnsupportedSequenceError, match=error):
+            _reference_approx(seq, word, horizon, mode)
+
+    @pytest.mark.parametrize("mode, want", [
+        ("liminf", (F(3), F(1572869, 524289))), ("limsup", (F(5), F(5)))])
+    def test_growing_sequence_with_a_bounded_phase(self, mode, want):
+        # c = 1, 1, -1, 2, -2, ...: the partial sums at odd n stay at 1,
+        # so that phase's limit comes from the constants of the fit.
+        seq = parse_sequence("blocks:1,-1;mu=2;prefix=1")
+        word = parse_lasso("prefix=5;cycle=3")
+        assert eval_approx(seq, word, 40, mode).bracket == want
+        assert _reference_approx(seq, word, 40, mode) == want
+
+    @pytest.mark.parametrize("rho", [F(0), F(1, 8), F(2, 3), F(1), F(2),
+                                     F(3, 2)])
+    def test_fit_on_synthetic_samples(self, rho):
+        # Integer samples on a trend, some with one sample knocked off it:
+        # the integer fit and the Fraction fit agree on the limit or on
+        # the error.  Denominators that sequence admission rules out (a
+        # zero partial sum, an affine tail that does not grow) are skipped.
+        rng = random.Random(str(rho))
+        a, b = rho.numerator, rho.denominator
+        for _ in range(300):
+            tracks = []
+            for _ in range(2):
+                const, lead = rng.randint(-3, 3), rng.randint(-3, 3)
+                if rho == 0:
+                    ys = [const] * 3
+                elif rho == 1:
+                    ys = [const - lead * j for j in range(3)]
+                else:
+                    ys = [const * a * a + lead * a ** (2 - j) * b ** j
+                          for j in range(3)]
+                if rng.random() < 0.3:
+                    ys[rng.randrange(3)] += rng.choice((-1, 1))
+                tracks.append(tuple(ys))
+            dens = tracks[1]
+            if dens[0] == 0 or (rho == 1 and dens[0] == dens[1]):
+                continue
+            got = _outcome(lambda *args: F(*payoff._fitted_limit(*args)),
+                           *tracks, a, b)
+            want = _outcome(_reference_limit,
+                            *(tuple(map(F, ys)) for ys in tracks), rho)
+            assert got == want
+
+    def test_seeded_block_sequences(self):
+        # Blocks of length 1-3 under every ratio class; some phases
+        # diverge or vanish, and both evaluators must fail alike there.
+        rng = random.Random(0)
+        errors = 0
+        for _ in range(160):
+            block = ",".join(str(F(rng.randint(-4, 4), rng.choice((1, 2))))
+                             for _ in range(rng.randint(1, 3)))
+            mu = rng.choice(["0", "1/2", "1", "2", "3"])
+            prefix = ",".join(str(rng.randint(-3, 3))
+                              for _ in range(rng.randint(0, 2)))
+            try:
+                seq = parse_sequence(f"blocks:{block};mu={mu}"
+                                     + (f";prefix={prefix}" if prefix else ""))
+                analyze(seq)
+            except ValueError:
+                continue
+            word = _seeded_word(rng)
+            mode = rng.choice(("liminf", "limsup"))
+            got = _outcome(lambda *a: eval_approx(*a).bracket,
+                           seq, word, 160, mode)
+            assert got == _outcome(_reference_approx, seq, word, 160, mode)
+            errors += got[0] is UnsupportedSequenceError
+        assert errors > 0
 
 
 class TestOraclesAvoidTheClosedForm:
