@@ -13,6 +13,7 @@ support approximate (bracketing) evaluation.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -158,6 +159,19 @@ class SeqAnalysis:
     bound: Optional[Fraction] = None
 
 
+def _residue_form(seq: CoeffSeq) -> list[tuple[Fraction, Fraction]]:
+    """The pairs (C_j, D_j), one per block residue j, such that
+    d_{m+t*p+j} = C_j + D_j * g(t) for every t >= 0, where g(t) = t under
+    ratio 1 and g(t) = ratio**t otherwise."""
+    head = sum(seq.prefix, Fraction(0))
+    block_sum = sum(seq.block, Fraction(0))
+    partials = itertools.accumulate(seq.block[:-1], initial=Fraction(0))
+    if seq.ratio == 1:
+        return [(head + s, block_sum) for s in partials]
+    shifted = block_sum / (1 - seq.ratio)
+    return [(head + shifted, s - shifted) for s in partials]
+
+
 def partial_sum(seq: CoeffSeq, n: int) -> Fraction:
     """The partial sum d_n = c_0 + ... + c_{n-1}, in closed form.
 
@@ -165,48 +179,34 @@ def partial_sum(seq: CoeffSeq, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m, p, mu = seq.prefix_len, seq.period, seq.ratio
+    m, mu = seq.prefix_len, seq.ratio
     if n <= m:
         return sum(seq.prefix[:n], Fraction(0))
-    head = sum(seq.prefix, Fraction(0))
-    t, j = divmod(n - m, p)
-    block_sum = sum(seq.block, Fraction(0))
-    partial_block = sum(seq.block[:j], Fraction(0))
-    if mu == 1:
-        return head + block_sum * t + partial_block
-    mu_t = mu ** t
-    return head + block_sum * (1 - mu_t) / (1 - mu) + mu_t * partial_block
-
-
-def _exact_log(x: int, base: int) -> Optional[int]:
-    """The t with base**t == x, if any (base >= 2, x >= 1)."""
-    t, acc = 0, 1
-    while acc < x:
-        acc *= base
-        t += 1
-    return t if acc == x else None
+    t, j = divmod(n - m, seq.period)
+    c, d = _residue_form(seq)[j]
+    return c + d * (t if mu == 1 else mu ** t)
 
 
 def _power_index(mu: Fraction, r: Fraction) -> Optional[int]:
-    """The t >= 0 with mu**t == r, for mu > 0, mu != 1, r > 0."""
-    a, b = mu.numerator, mu.denominator
-    u, v = r.numerator, r.denominator
-    if a == 1:
-        return _exact_log(v, b) if u == 1 else None
-    if b == 1:
-        return _exact_log(u, a) if v == 1 else None
-    t1 = _exact_log(u, a)
-    return t1 if t1 is not None and t1 == _exact_log(v, b) else None
+    """The t >= 0 with mu**t == r, if any, for mu > 0, mu != 1.  In lowest
+    terms mu**t is a**t / b**t, so the loop stops once either part passes
+    r's: within log2 of r's larger part steps, however close mu is to 1."""
+    t, acc = 0, Fraction(1)
+    while (acc != r and acc.numerator <= r.numerator
+           and acc.denominator <= r.denominator):
+        acc *= mu
+        t += 1
+    return t if acc == r else None
 
 
 def first_zero_partial_sum(seq: CoeffSeq) -> Optional[int]:
     """The least n >= 1 with d_n == 0, or None if every partial sum is nonzero.
 
     The decision is analytic: indices up to prefix+block are checked
-    directly; beyond them, d_{m+t*p+j} = 0 is solved for real t per
-    residue class j using the closed form, and solutions are kept only
-    when t is a nonnegative integer.  This makes admission a proof, not
-    a sampling heuristic.
+    directly; beyond them, C_j + D_j * g(t) = 0 is solved for t per
+    residue class j of the residue form, and solutions are kept only
+    when t is a positive integer.  This makes admission a proof, not a
+    sampling heuristic.
     """
     m, p, mu = seq.prefix_len, seq.period, seq.ratio
     for n in range(1, m + p + 1):
@@ -214,34 +214,17 @@ def first_zero_partial_sum(seq: CoeffSeq) -> Optional[int]:
             return n
     if mu == 0:
         return None  # tail constant, equal to d_{m+p}, checked above
-    head = sum(seq.prefix, Fraction(0))
-    block_sum = sum(seq.block, Fraction(0))
     candidates = []
-    if mu == 1:
-        for j in range(p):
-            base = head + sum(seq.block[:j], Fraction(0))
-            if block_sum == 0:
-                if base == 0:
-                    candidates.append(m + p + j)
-            else:
-                t = -base / block_sum
-                if t.denominator == 1 and t >= 1:
-                    candidates.append(m + int(t) * p + j)
-    else:
-        shifted = block_sum / (1 - mu)
-        limit = head + shifted
-        for j in range(p):
-            deviation = sum(seq.block[:j], Fraction(0)) - shifted
-            if deviation == 0:
-                if limit == 0:
-                    candidates.append(m + p + j)
-                continue
-            r = -limit / deviation
-            if r <= 0:
-                continue
-            t = _power_index(mu, r)
-            if t is not None and t >= 1:
-                candidates.append(m + t * p + j)
+    for j, (c, d) in enumerate(_residue_form(seq)):
+        if d == 0:
+            t = 1 if c == 0 else None
+        elif mu == 1:
+            r = -c / d
+            t = r.numerator if r.denominator == 1 else None
+        else:
+            t = _power_index(mu, -c / d)
+        if t is not None and t >= 1:
+            candidates.append(m + t * p + j)
     return min(candidates) if candidates else None
 
 
@@ -262,10 +245,8 @@ def analyze(seq: CoeffSeq) -> SeqAnalysis:
     """Classify the sequence and compute its exact analytic summary."""
     admit(seq)
     m, p, mu = seq.prefix_len, seq.period, seq.ratio
-    head = sum(seq.prefix, Fraction(0))
-    block_sum = sum(seq.block, Fraction(0))
     if mu < 1:
-        total = head + block_sum / (1 - mu)
+        total = _residue_form(seq)[0][0]
         # Even/odd split via the alternating series: each tail term lands at
         # index m+j+t*p, whose parity flips with t exactly when p is odd.
         sign = -1 if p % 2 else 1
@@ -285,14 +266,9 @@ def analyze(seq: CoeffSeq) -> SeqAnalysis:
         return SeqAnalysis(Classification.DIVERGENT_BOUNDED,
                            inv_psum_liminf=Fraction(0),
                            inv_psum_limsup=Fraction(0), bound=bound)
-    # mu > 1: along residue class j the partial sums are C + D_j * mu**t, so
-    # 1/d_n accumulates at 0 (D_j != 0) or at 1/C (D_j == 0).
-    shifted = block_sum / (1 - mu)
-    limit_const = head + shifted
-    points = []
-    for j in range(p):
-        deviation = sum(seq.block[:j], Fraction(0)) - shifted
-        points.append(Fraction(0) if deviation != 0 else 1 / limit_const)
+    # mu > 1: along residue class j the partial sums are C_j + D_j * mu**t,
+    # so 1/d_n accumulates at 0 (D_j != 0) or at 1/C_j (D_j == 0).
+    points = [Fraction(0) if d != 0 else 1 / c for c, d in _residue_form(seq)]
     return SeqAnalysis(Classification.DIVERGENT_UNBOUNDED,
                        inv_psum_liminf=min(points),
                        inv_psum_limsup=max(points))

@@ -62,7 +62,8 @@ from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError, UnsupportedSequenceError
 from .games import (GameGraph, MemorylessStrategy, detour_gadget,
-                    enumerate_memoryless, escape_gadget, two_branch_gadget)
+                    count_memoryless, enumerate_memoryless, escape_gadget,
+                    two_branch_gadget)
 from .payoff import (LIMINF, PayoffValue, _check_mode, _extreme_limit,
                      _int_coeffs, _phase_sums, _scaled, eval_exact,
                      supports_exact)
@@ -110,13 +111,14 @@ def _solve_ranked(g: GameGraph, seq: CoeffSeq, mode: str,
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
             "sequence has no exact evaluator; use eval_approx-based tooling")
+    profiles = count_memoryless(g, 1) * count_memoryless(g, 2)
+    if profiles > budget:
+        raise BudgetExceededError(
+            f"{profiles} memoryless profiles exceed budget {budget}")
+    _check_mode(mode)
     p1s = list(enumerate_memoryless(g, 1))
     p2s = list(enumerate_memoryless(g, 2))
     width = len(p2s)
-    if len(p1s) * width > budget:
-        raise BudgetExceededError(
-            f"{len(p1s) * width} memoryless profiles exceed budget {budget}")
-    _check_mode(mode)
     cells, values = _play_tree_values(g, seq, mode)
     # Sorted once on integers over the values' common denominator:
     # levels[r] is the r-th least distinct value, rank[k] that of play k.
@@ -607,7 +609,9 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     optimality of the pair is refuted only if every such opponent can be
     beaten.  Step 3: otherwise report no witness up to the bound, which
     is explicitly not a proof of optimality.  The table and the search
-    share ``budget``: the table costs one unit per memoryless profile.
+    share ``budget``: the table costs one unit per memoryless profile,
+    and _dp_scan's coefficient table one unit per coefficient, each
+    charged before it is built.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
@@ -637,6 +641,9 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
 
     growing = analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED
     scan = _walk_scan if growing else _dp_scan
+    if not growing:
+        # One unit per coefficient of _dp_scan's table, before it is built.
+        spend(seq.prefix_len + seq.period * (max_len + 1))
     cache: dict = {}
     level = max(row_mins)  # the rank of the saddle value
     for deviator in (1, 2):
@@ -703,6 +710,11 @@ def _words_by_length(alphabet: Sequence[Fraction], max_len: int,
             for word in itertools.product(alphabet, repeat=length)]
 
 
+def _count_words(size: int, max_len: int, min_len: int) -> int:
+    """How many words _words_by_length lists over ``size`` letters."""
+    return sum(size ** n for n in range(min_len, max_len + 1))
+
+
 def _order_bits(row: list[Fraction]) -> tuple[int, int]:
     """Bitsets over the ordered pairs (u, v) of a table row, bit u*C + v:
     where row[u] < row[v], and where row[u] > row[v].  The row is sorted
@@ -749,15 +761,17 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
     alphabet = tuple(as_rational(a) for a in alphabet)
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
-    prefixes = _words_by_length(alphabet, max_prefix_len,
-                                min_len=1 if nonempty_only else 0)
-    cycles = _words_by_length(alphabet, max_cycle_len, min_len=1)
-    if len(set(prefixes)) < 2 or not cycles:
+    shortest = 1 if nonempty_only else 0
+    if (_count_words(len(set(alphabet)), max_prefix_len, shortest) < 2
+            or max_cycle_len < 1):
         raise ValueError("the search needs two distinct prefixes and a "
                          "cycle; raise the prefix or cycle bound")
-    remaining = budget - len(prefixes) * len(cycles)
+    remaining = budget - (_count_words(len(alphabet), max_prefix_len, shortest)
+                          * _count_words(len(alphabet), max_cycle_len, 1))
     if remaining < 0:
         raise BudgetExceededError("monotonicity search exceeded its budget")
+    prefixes = _words_by_length(alphabet, max_prefix_len, min_len=shortest)
+    cycles = _words_by_length(alphabet, max_cycle_len, min_len=1)
     table = [[eval_exact(seq, LassoWord(x, u), mode).exact for u in cycles]
              for x in prefixes]
     quads = len(cycles) ** 2
@@ -858,8 +872,9 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     (exact value first on each side).  If no gadget yields a
     witness, the monotonicity falsifier runs as a final route on the
     alphabet {0, 1}, over prefixes of length at most 2 and cycles up to
-    the block period, at least 2 and at most 4 long.  Budget exhaustion
-    returns a not-found report carrying the instances tried.
+    the block period, at least 2 and at most 4 long.  ``budget`` bounds
+    the gadgets checked; a search that needs more raises
+    BudgetExceededError.
     """
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
@@ -891,8 +906,8 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
                  detour_gadget(out, back, loop, owner=1)))
     for description, game in candidates:
         if len(tried) >= budget:
-            tried.append("(budget exhausted)")
-            return SequenceWitnessReport(found=False, tried=tried)
+            raise BudgetExceededError(
+                f"gadget search exceeded budget {budget}")
         verdict = check_memoryless(game, seq, mem_bound=mem_bound, mode=mode)
         tried.append(f"{description}: {verdict.kind.value}")
         if verdict.kind is VerdictKind.WITNESS_FOUND:

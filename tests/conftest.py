@@ -2,9 +2,15 @@
 
 from fractions import Fraction
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from wavg import CoeffSeq, LassoWord, admit
+
+# Fixed draws and no example database: a clean clone and a used checkout
+# run the same examples.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def rationals(max_num=6, max_den=4, allow_negative=True):

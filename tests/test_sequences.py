@@ -82,15 +82,30 @@ class TestZeroPartialSumCheck:
         assert first_zero_partial_sum(seq) == 6
 
     def test_geometric_residue_solved_exactly(self):
-        # c = -3, 2, 1, 1/2, ...: d_3 = 0 via the mu**t = r equation.
-        seq = CoeffSeq((-3,), (2,), F(1, 2))
-        assert first_zero_partial_sum(seq) == 3
+        for prefix, block, ratio, first in [
+                # c = -3, 2, 1, 1/2, ...: d_3 = 0 via the mu**t = r equation.
+                ((-3,), (2,), F(1, 2), 3),
+                # A growing ratio: d = -5/2, -3/2, 0.
+                ((F(-5, 2),), (1,), F(3, 2), 3),
+                # Neither the numerator nor the denominator of the ratio is 1.
+                ((F(-19, 9),), (1,), F(2, 3), 4),
+                # The zero lies in residue class j = 1 of a two-entry block.
+                ((F(-7, 4),), (1, 0), F(1, 2), 6),
+                # A ratio near 1: d_3 = -2000001/1000000 + 1 + 1000001/1000000.
+                ((F(-2000001, 1000000),), (1,), F(1000001, 1000000), 3)]:
+            seq = CoeffSeq(prefix, block, ratio)
+            assert first_zero_partial_sum(seq) == first
 
     def test_near_miss_is_accepted(self):
-        seq = CoeffSeq((-3,), (2,), F(1, 3))
-        assert first_zero_partial_sum(seq) is None
-        seq = CoeffSeq((F(-5, 2),), (2,), F(1, 2))
-        assert first_zero_partial_sum(seq) is None
+        for prefix, block, ratio in [((-3,), (2,), F(1, 3)),
+                                     ((F(-5, 2),), (2,), F(1, 2)),
+                                     ((-2,), (1,), F(2, 3)),
+                                     ((-2,), (1,), F(3, 2)),
+                                     # A ratio near 1 needs few steps.
+                                     ((-1000000,), (1,),
+                                      F(1000001, 1000000))]:
+            seq = CoeffSeq(prefix, block, ratio)
+            assert first_zero_partial_sum(seq) is None
 
     @settings(max_examples=60)
     @given(block_sequences(admitted=False))

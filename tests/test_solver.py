@@ -50,6 +50,15 @@ class TestSolveEnumerative:
         with pytest.raises(BudgetExceededError):
             solve_enumerative(g, mean_sequence(), budget=0)
 
+    def test_budget_refuses_before_listing_strategies(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("strategies listed past the budget")
+
+        monkeypatch.setattr(solver, "enumerate_memoryless", unreachable)
+        with pytest.raises(BudgetExceededError,
+                           match="^2 memoryless profiles exceed budget 1$"):
+            solve_enumerative(two_branch_gadget(), mean_sequence(), budget=1)
+
     def test_refuses_unsupported_sequence(self):
         seq = CoeffSeq((3,), (1, -1), 2)
         with pytest.raises(UnsupportedSequenceError):
@@ -305,6 +314,17 @@ class TestCheckMemoryless:
         with pytest.raises(BudgetExceededError):
             check_memoryless(two_branch_gadget(), geometric(2), mem_bound=2,
                              budget=1)
+
+    def test_coefficient_table_charged_before_it_is_built(self, monkeypatch):
+        # Two profiles, then 1 + 10**6 coefficients for _dp_scan's table.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("coefficient table built past the budget")
+
+        monkeypatch.setattr(solver, "_int_coeffs", unreachable)
+        with pytest.raises(BudgetExceededError,
+                           match="^deviation search exceeded its budget$"):
+            check_memoryless(loops_gadget((1, 0)), mean_sequence(),
+                             mem_bound=10**6, budget=1_000)
 
     def test_witness_payoff_strictly_better(self):
         verdict = check_memoryless(two_branch_gadget(), geometric(2),
@@ -678,6 +698,19 @@ class TestMonotoneFalsify:
         with pytest.raises(BudgetExceededError):
             monotone_falsify(mean_sequence(), (0, 1), 2, 2, budget=5)
 
+    def test_budget_refuses_before_listing_words(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("words listed past the budget")
+
+        monkeypatch.setattr(solver, "_words_by_length", unreachable)
+        with pytest.raises(BudgetExceededError,
+                           match="^monotonicity search exceeded its budget$"):
+            monotone_falsify(mean_sequence(), (0, 1), 20, 2, budget=1_000)
+        # Too few distinct prefixes is an input error, whatever the budget.
+        with pytest.raises(ValueError):
+            monotone_falsify(mean_sequence(), (0, 0), 1, 2, nonempty_only=True,
+                             budget=0)
+
 
 class TestFindWitness:
     def test_convergent_non_geometric(self):
@@ -746,10 +779,10 @@ class TestFindWitness:
         assert witness.player == 1
 
     def test_budget_exhaustion_reports_tried(self):
-        report = find_witness_sequence_failure(
-            parse_sequence("blocks:1,1/2;mu=1/8"), budget=2)
-        assert not report.found
-        assert report.tried[-1] == "(budget exhausted)"
+        with pytest.raises(BudgetExceededError,
+                           match="^gadget search exceeded budget 2$"):
+            find_witness_sequence_failure(
+                parse_sequence("blocks:1,1/2;mu=1/8"), budget=2)
 
 
 class TestDeterminism:
