@@ -63,6 +63,12 @@ for _tag, _spec, _codes in (("mean", "mean", (0, 0)),
         ROWS[f"check-spike-4-{_tag}-{_mode}"] = (
             ["check-memoryless", "--game", "builtin:spike:4", "--seq", _spec,
              "--mode", _mode], _code)
+# spike:6 at mem_bound 2 searches lassos up to 62 edges long.
+for _tag, _spec in (("mean", "mean"), ("disc-1_2", "disc:1/2"),
+                    ("blocks-2-1-mu-1", "blocks:2,1;mu=1"),
+                    ("blocks-1-1_2-mu-1_8", "blocks:1,1/2;mu=1/8")):
+    ROWS[f"check-spike-6-{_tag}-liminf"] = (
+        ["check-memoryless", "--game", "builtin:spike:6", "--seq", _spec], 0)
 ROWS["solve-two-branch-geom-2"] = (
     ["solve", "--game", "builtin:two-branch", "--seq", "geom:2"], 0)
 ROWS["solve-spike-4-mean"] = (
