@@ -27,10 +27,19 @@ The search takes one of two paths, chosen by the sequence class:
   over [first, H) plus den c_i over [H, H + span), at the positions
   i = first + j mod L, and prefix position i weighs (den - num) c_i,
   which is 0 under ratio 1.  An integer best-walk DP over (position,
-  state) and a best-closed-walk DP per (cut class, cycle length, state)
-  decide it in O((m+p) * |Q| * |E| * max_len**2) steps for prefix length
-  m and period p, and a greedy rebuild returns the first witness in the
-  order above.  One budget unit is one DP cell filled.
+  state) and forward closed-walk DPs per (cut class, weight stream,
+  state) decide it, and a greedy rebuild returns the first witness in
+  the order above.  Under ratio 1 a cycle length L reads the fold of
+  period gcd(p, L) of its class's block, one of tau(p) streams per
+  class, tau(p) the number of divisors of the period p.  Otherwise a
+  length L that p divides reads, at a class at or past the prefix
+  length m, the class's coefficients in order.  Each such stream is
+  walked once, max_len steps, so these lengths cost
+  O(p * tau(p) * |Q| * |E| * max_len) steps in all.  Every other
+  length, p not dividing L under ratio != 1 or any length at a cut
+  below m, walks a stream of its own, L steps, for
+  O((m+p) * |Q| * |E| * max_len**2) at worst.  One budget unit is one
+  DP cell filled.
 * Growing sequences (ratio a/b > 1, any block length): a lasso's payoff
   is the least (liminf) or greatest (limsup) of its phase limits.  Under
   liminf the maximizer improves only if every phase limit rises above v,
@@ -468,16 +477,34 @@ def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
     return out
 
 
-def _closed_walks(steps: dict, weights, starts, spend: Callable) -> dict:
-    """Best score of a closed walk of len(weights) steps at each start."""
-    best = {}
-    for q in starts:
-        layer = {q: 0}
-        for weight in weights:
-            layer = _relax(layer, steps, weight, spend)
-        if q in layer:
-            best[q] = layer[q]
-    return best
+class _ClosedWalks:
+    """Forward closed-walk DPs over one stream of step weights, one per
+    start: after ``done`` steps, layers[q] holds the best score of each
+    state reached from q in exactly ``done`` steps, step k scoring
+    weights[k] times its edge gain.  Only each start's current layer is
+    kept."""
+
+    def __init__(self, weights):
+        self.weights, self.done, self.layers = weights, 0, None
+
+    def advance(self, steps: dict, length: int, starts,
+                spend: Callable) -> dict:
+        """Take each start of ``starts`` on to ``length`` steps, drop the
+        others, and return the best closed walk at each start that has
+        one.  ``starts`` may only shrink from one call to the next."""
+        if self.layers is None:
+            self.layers = {q: {q: 0} for q in starts}
+        weights = self.weights[self.done:length]
+        layers, best = {}, {}
+        for q in starts:
+            layer = self.layers[q]
+            for weight in weights:
+                layer = _relax(layer, steps, weight, spend)
+            layers[q] = layer
+            if q in layer:
+                best[q] = layer[q]
+        self.layers, self.done = layers, length
+        return best
 
 
 def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
@@ -525,12 +552,25 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), which splits
     into a best prefix walk to each state q and a best closed walk at q.
     For cut >= m the weights of cut and of its class m + (cut-m) mod p
-    differ by the factor ratio**laps, so one closed-walk DP serves each
-    (class, cycle length).  A cut below m is its own class, except under
-    ratio 1, where its slot weights equal its class's.  Every weight
-    comes from one table of c_0 .. c_(m + p*(max_len+1) - 1), which covers
-    the window of every class.  Scores are integers; one budget unit per
-    DP cell.  Scanning cycle length, then cut, then rebuilding the walk
+    differ by the factor ratio**laps, so the closed walks of a class
+    serve all its cuts.  A cut below m is its own class, except under
+    ratio 1, where its slot weights equal its class's.
+
+    Cycle lengths share the closed-walk DP where their slot weights are
+    the first L terms of one stream times a positive factor: under ratio
+    1, the slot weights of a cycle of length gcd(p, L), repeated, with
+    factor 1; and where p divides L (span = L) at a class at or past m,
+    c_first, c_first+1, ... with factor den = b**(L/p).  One forward DP
+    per (class, stream, start) then advances one step per length and
+    reads each length's best closed walk off the start's own score,
+    keeping only its current layer and dropping a start once no cut left
+    needs it.  Every other length walks a stream of its own, its slot
+    weights.  Step k fills the cells of step k of a DP run afresh for
+    the length, so the scores, and the witness rebuilt from them, are
+    the same; the steps before k are not run again.  Every weight comes
+    from one table of c_0 .. c_(m + p*(max_len+1) - 1), which covers the
+    window of every class.  Scores are integers; one budget unit per DP
+    cell.  Scanning cycle length, then cut, then rebuilding the walk
     greedily by edge index gives the same first witness as enumerating
     every walk; it is returned for check_memoryless to confirm exactly.
     """
@@ -563,24 +603,59 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     reach = [{g.start: 0}]
     for k in range(max_len - 1):
         reach.append(_relax(reach[-1], steps, coeffs[k], spend))
+    # joined[cut]: the states reached at the cuts of cut's class up to
+    # cut, in order of first reach.
+    joined, seen = [], {}
+    for cut, (first, _, _) in enumerate(classes):
+        seen[first] = {**seen.get(first, {}), **reach[cut]}
+        joined.append(seen[first])
+
+    def slot_weights(first: int, length: int) -> tuple:
+        if (first, length) not in cache:
+            cache[first, length] = _slot_weights(coeffs, seq, first, length)
+        return cache[first, length]
+
+    # The shared streams: (class, 0) the unfolded one, (class, d) the
+    # fold of period d.
+    walks: dict = {}
+
+    def closed_walks(first: int, length: int, starts) -> dict:
+        """The best closed walk of ``length`` steps at each start, read off
+        the stream whose first ``length`` terms, times a positive factor,
+        are the slot weights."""
+        d = math.gcd(p, length)
+        if a == b:
+            # Slot j sums c_i over i = first + j + s*length, s < p/d: the
+            # slot weights of a cycle of length d, repeated.
+            key, factor = (first, d), 1
+        elif first >= m and d == p:
+            # span = length: slot j weighs den * c_(first+j).
+            key, factor = (first, 0), b ** (length // p)
+        else:
+            betas = slot_weights(first, length)[0]
+            return _ClosedWalks(betas).advance(steps, length, starts, spend)
+        if key not in walks:
+            # Only multiples of d read the fold of period d.
+            walks[key] = _ClosedWalks(
+                coeffs[first:] if key[1] == 0
+                else slot_weights(first, d)[0] * (max_len // d))
+        best = walks[key].advance(steps, length, starts, spend)
+        return {q: score * factor for q, score in best.items()}
 
     for length in range(1, max_len + 1):
         last_cut = max_len - length
+        laps = length // math.gcd(p, length)
+        shrink = b ** laps - a ** laps
+        # A class's closed walks start where its cuts up to last_cut end:
+        # joined at the last of them.
+        tops = {classes[cut][0]: cut for cut in range(last_cut + 1)}
         closed: dict = {}
         for cut in range(last_cut + 1):
             first, num, den = classes[cut]
             if first not in closed:
-                starts: dict = {}
-                for c in range(cut, last_cut + 1):
-                    if classes[c][0] == first:
-                        starts.update(reach[c])
-                if (first, length) not in cache:
-                    cache[first, length] = _slot_weights(coeffs, seq, first,
-                                                         length)
-                betas, shrink = cache[first, length]
-                closed[first] = (betas, shrink,
-                                 _closed_walks(steps, betas, starts, spend))
-            betas, shrink, best = closed[first]
+                closed[first] = closed_walks(first, length,
+                                             joined[tops[first]])
+            best = closed[first]
             head_scale, loop_scale = den * shrink, num
             for q, score in reach[cut].items():
                 end = best.get(q)
@@ -592,8 +667,9 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             head, q, score = _first_walk(
                 options, steps, back, g.start,
                 [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
+            betas = slot_weights(first, length)[0]
             loop, _, _ = _first_walk(
-                options, steps, back, q, [b * loop_scale for b in betas],
+                options, steps, back, q, [w * loop_scale for w in betas],
                 score, {q: 0}, spend)
             return LassoWord(head, loop)
     return None

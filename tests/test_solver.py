@@ -438,10 +438,30 @@ def _oracle_scans(g, seq, mode=LIMINF):
                 yield deviator, opponent, threshold
 
 
-def _scan(scan, g, seq, deviator, opponent, threshold, mode=LIMINF):
+def _scan(scan, g, seq, deviator, opponent, threshold, mode=LIMINF,
+          mem_bound=2):
     options = solver._deviation_edges(g, deviator, opponent)
     return scan(g, options, deviator, seq, mode, threshold,
-                2 * len(g.states), lambda amount: None, {})
+                mem_bound * len(g.states), lambda amount: None, {})
+
+
+def _record_dp_spend(monkeypatch) -> list:
+    """The units each later _dp_scan charges, in order; the budget is
+    still charged as before."""
+    spent = []
+    scan = solver._dp_scan
+
+    def recording(*args):
+        *head, spend, cache = args
+
+        def counting(amount):
+            spent.append(amount)
+            spend(amount)
+
+        return scan(*head, counting, cache)
+
+    monkeypatch.setattr(solver, "_dp_scan", recording)
+    return spent
 
 
 class TestDeviationSearchOracle:
@@ -458,27 +478,43 @@ class TestDeviationSearchOracle:
         monkeypatch.setattr(solver, "_dp_scan", _reference_scan)
         assert dp == check_memoryless(g, seq, mem_bound=2)
 
+    @pytest.mark.parametrize("spec", ["blocks:2,1;mu=1", "blocks:1,2,3;mu=1",
+                                      "blocks:1,1/2;mu=1/8"])
+    def test_dp_matches_enumeration_past_length_ten(self, spec):
+        # mem_bound 3 on 5-state games: walks of up to 15 edges.  The ratio-1
+        # blocks of period 2 and 3 read the folds of period 1, 2 and 3 past
+        # several of their periods; the convergent block's odd lengths keep
+        # weights of their own beside its shared even-length stream.
+        seq = parse_sequence(spec)
+        for seed in (25, 27, 38):
+            g = _oracle_game(seed)
+            for deviator, opponent, threshold in _oracle_scans(g, seq):
+                assert (_scan(solver._dp_scan, g, seq, deviator, opponent,
+                              threshold, mem_bound=3)
+                        == _scan(_reference_scan, g, seq, deviator, opponent,
+                                 threshold, mem_bound=3))
+
     def test_ratio_one_cuts_below_prefix_share_classes(self, monkeypatch):
         # Under ratio 1 a cut below the sequence prefix joins its class, so
         # it runs no closed-walk DP of its own.
         seq = parse_sequence("blocks:1,2;mu=1;prefix=5,0,1")
-        spent = []
-        scan = solver._dp_scan
-
-        def recording(*args):
-            *head, spend, cache = args
-
-            def counting(amount):
-                spent.append(amount)
-                spend(amount)
-
-            return scan(*head, counting, cache)
-
-        monkeypatch.setattr(solver, "_dp_scan", recording)
+        spent = _record_dp_spend(monkeypatch)
         for seed in ORACLE_SEEDS:
             check_memoryless(_oracle_game(seed), seq, mem_bound=2,
                              budget=1_000_000)
         assert sum(spent) <= 4_383
+
+    @pytest.mark.parametrize("spec", ["mean", "disc:1/2"])
+    def test_lengths_share_one_closed_walk_dp(self, spec, monkeypatch):
+        # Every cycle length of these period-1 sequences reads one stream of
+        # weights, so each start runs one walk of max_len = 114 steps, not
+        # one per length: spike:8 fits the default budget.
+        spent = _record_dp_spend(monkeypatch)
+        verdict = check_memoryless(cycle_choice_gadget(8),
+                                   parse_sequence(spec), mem_bound=2)
+        assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
+        assert verdict.budget == 2_000_000
+        assert sum(spent) <= 44_236
 
     @pytest.mark.parametrize("spec", ORACLE_CLASSES)
     def test_oracle_cases_hold_witnesses(self, spec):
