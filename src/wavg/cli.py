@@ -8,6 +8,7 @@ failed verification), 2 input error, 3 budget exceeded, 4 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -291,7 +292,10 @@ def cmd_verify_paper(args) -> int:
     return EXIT_OK if report.overall else EXIT_WITNESS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wavg",
         description="Weighted-average payoff games workbench")
@@ -360,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.monotonic()
     try:
         return args.func(args)

@@ -54,9 +54,17 @@ The search takes one of two paths, chosen by the sequence class:
   cycle symbol of a candidate that could still precede the best one
   found.
 
-Either way the engine returns only the lasso; ``check_memoryless``
-confirms it by one exact evaluation, and reports an empty search as a
-bounded no-witness, never as a proof.
+Before the DP, ``_best_response`` solves the deviator's one-player game
+on the product of the states with the sequence positions exactly: a
+mean payoff under ratio 1, a discounted sum under ratio < 1, both with
+positional optima.  So it decides whether a play of any memory beats the
+value, and the DP runs only where one does.  A positional best response
+is a lasso of at most m + |Q|*p edges, so from mem_bound >= p +
+ceil(m/|Q|) on the DP misses none: a no-witness there means that, for
+each player, some optimal opponent is beaten by no strategy of any
+memory.  Under a growing ratio an empty search is a bounded no-witness
+only.  Either engine returns only the lasso; ``check_memoryless``
+confirms it by one exact evaluation.
 """
 
 from __future__ import annotations
@@ -92,6 +100,11 @@ class SolveReport:
     p1_strategies: list[MemorylessStrategy]
     p2_strategies: list[MemorylessStrategy]
     table: list[list[Fraction]]
+    # The rank of each row's minimum and of each column's maximum among
+    # the table's distinct values, for check_memoryless; no output prints
+    # them.
+    row_min_ranks: list[int]
+    col_max_ranks: list[int]
 
 
 # The default bound on the number of memoryless profiles a table covers.
@@ -110,13 +123,6 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
     enumeration order (first strategy found).  The number of profiles
     must not exceed ``budget``.
     """
-    return _solve_ranked(g, seq, mode, budget)[0]
-
-
-def _solve_ranked(g: GameGraph, seq: CoeffSeq, mode: str,
-                  budget: int) -> tuple[SolveReport, list[int], list[int]]:
-    """solve_enumerative's report, with the rank of each row's minimum
-    and of each column's maximum among the table's distinct values."""
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
             "sequence has no exact evaluator; use eval_approx-based tooling")
@@ -144,7 +150,7 @@ def _solve_ranked(g: GameGraph, seq: CoeffSeq, mode: str,
     row_mins = [min(ranked[i:i + width]) for i in range(0, len(ranked), width)]
     col_maxs = [max(ranked[j::width]) for j in range(width)]
     maximin, minimax = max(row_mins), min(col_maxs)
-    report = SolveReport(
+    return SolveReport(
         maximin=PayoffValue(mode=mode, exact=levels[maximin]),
         minimax=PayoffValue(mode=mode, exact=levels[minimax]),
         p1_optimal=p1s[row_mins.index(maximin)],
@@ -154,8 +160,9 @@ def _solve_ranked(g: GameGraph, seq: CoeffSeq, mode: str,
         p2_strategies=p2s,
         table=[[values[k] for k in cells[i:i + width]]
                for i in range(0, len(cells), width)],
+        row_min_ranks=row_mins,
+        col_max_ranks=col_maxs,
     )
-    return report, row_mins, col_maxs
 
 
 def _play_tree_values(g: GameGraph, seq: CoeffSeq,
@@ -346,6 +353,20 @@ def _edge_gains(g: GameGraph, options: dict,
     return {q: tuple(e.weight.numerator * (unit // e.weight.denominator) - level
                      for e in es)
             for q, es in options.items()}
+
+
+def _signed_gains(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+                  value: Fraction, coeffs) -> dict[str, tuple[int, ...]]:
+    """The edge gains of _edge_gains, negated where needed so that the
+    deviator maximizes a linear form in them: beating ``value`` is that
+    form's being positive.  The sign is the deviator's (1 maximizes)
+    times that of the payoff's denominator, the form at every reward 1,
+    read here for x = () and |u| = 1; ``coeffs`` holds c_0 .. c_(m+p-1)
+    at least, as integers."""
+    total = sum(_slot_weights(coeffs, seq, 0, 1)[0])
+    sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
+    return {q: tuple(sign * d for d in ds)
+            for q, ds in _edge_gains(g, options, value).items()}
 
 
 def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
@@ -577,11 +598,8 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
     coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
-    # The denominator: the form at every reward 1, here for x = () and |u| = 1.
-    total = sum(_slot_weights(coeffs, seq, 0, 1)[0])
-    sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
-    gains = _edge_gains(g, options, value)
-    steps = {q: tuple((idx, e.dst, sign * d)
+    gains = _signed_gains(g, options, deviator, seq, value, coeffs)
+    steps = {q: tuple((idx, e.dst, d)
                       for idx, (e, d) in enumerate(zip(es, gains[q])))
              for q, es in options.items()}
     back: dict = {q: [] for q in steps}
@@ -675,6 +693,129 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     return None
 
 
+def _best_response(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+                   value: Fraction, spend: Callable) -> bool:
+    """Whether some play, of any memory, beats ``value`` against the
+    opponent fixed in ``options``: an exact solve for the convergent and
+    ratio-1 classes.
+
+    The deviator plays alone on the product of the states with the
+    sequence positions: 0 .. m-1 for the prefix, then m .. m+p-1 for the
+    block, where m+p-1 moves on to m, from (start, 0).  A move from
+    position i scores c_i times its edge gain from _signed_gains, so
+    beating ``value`` is a positive objective.  Under ratio 1 the
+    prefix washes out and a lasso beats the value iff its product cycle
+    has a positive sum: a mean-payoff objective (Ehrenfeucht & Mycielski
+    1979), which Bellman-Ford decides as a positive cycle reachable from
+    the start.  Under ratio a/b < 1 the numerator of the payoff is the
+    total of the scores, each wrap of the block scaling what follows by
+    a/b: a discounted sum (Zwick & Paterson 1996), whose best value at
+    the start exact policy iteration finds, on integer (numerator,
+    denominator) pairs.  Both objectives have positional optima on the
+    product, so the answer covers every strategy, and the best play is a
+    lasso of at most m + |Q|*p edges.  One budget unit per product
+    cell, all charged before the product is built; the solve itself is
+    polynomial in the product's size.
+    """
+    index = {q: i for i, q in enumerate(g.states)}
+    n, m, size = len(index), seq.prefix_len, seq.prefix_len + seq.period
+    spend(n * size)
+    coeffs = _int_coeffs(seq, size)[0]
+    gains = _signed_gains(g, options, deviator, seq, value, coeffs)
+    moves = [tuple(zip(gains[q], (index[e.dst] for e in options[q])))
+             for q in g.states]
+    # Cell pos * n + state; each move scores coeffs[pos] * gain and goes
+    # to cell after[pos] * n + dst.
+    after = list(range(1, size)) + [m]
+    start = index[g.start]
+    cells, seen = [start], {start}
+    for cell in cells:
+        pos, q = divmod(cell, n)
+        for _, dst in moves[q]:
+            nxt = after[pos] * n + dst
+            if nxt not in seen:
+                seen.add(nxt)
+                cells.append(nxt)
+
+    if seq.ratio == 1:
+        # Longest walks from a virtual source into every cell: they settle
+        # within len(cells) rounds unless a positive cycle is reachable.
+        score = dict.fromkeys(cells, 0)
+        frontier = cells
+        for _ in cells:
+            improved = set()
+            for cell in frontier:
+                pos, q = divmod(cell, n)
+                c, base, here = coeffs[pos], after[pos] * n, score[cell]
+                for gain, dst in moves[q]:
+                    total = here + c * gain
+                    if total > score[base + dst]:
+                        score[base + dst] = total
+                        improved.add(base + dst)
+            if not improved:
+                return False
+            frontier = improved
+        return True
+
+    a, b = seq.ratio.numerator, seq.ratio.denominator
+    wrap = size - 1
+
+    def through(cell: int, k: int, later: tuple[int, int]) -> tuple[int, int]:
+        # The value of move k at cell, followed by the value ``later``.
+        pos, q = divmod(cell, n)
+        w = coeffs[pos] * moves[q][k][0]
+        num, den = later
+        if pos == wrap:
+            return w * b * den + a * num, b * den
+        return w * den + num, den
+
+    def successor(cell: int, k: int) -> int:
+        pos, q = divmod(cell, n)
+        return after[pos] * n + moves[q][k][1]
+
+    policy = dict.fromkeys(cells, 0)
+    while True:
+        # Evaluate the policy: each cell's path ends in a cycle, which
+        # wraps K >= 1 times; a cycle cell's value is
+        # sum_t w_t a**k_t b**(K-k_t) / (b**K - a**K), with k_t the
+        # wraps before step t.  The rest follow back along the paths.
+        values: dict[int, tuple[int, int]] = {}
+        for root in cells:
+            path, on_path, cell = [], {}, root
+            while cell not in values and cell not in on_path:
+                on_path[cell] = len(path)
+                path.append(cell)
+                cell = successor(cell, policy[cell])
+            if cell not in values:
+                cycle = path[on_path[cell]:]
+                laps = sum(c // n == wrap for c in cycle)
+                num, k = 0, 0
+                for c in cycle:
+                    pos, q = divmod(c, n)
+                    num += (coeffs[pos] * moves[q][policy[c]][0]
+                            * a ** k * b ** (laps - k))
+                    k += pos == wrap
+                values[cell] = num, b ** laps - a ** laps
+            for c in reversed(path):
+                if c not in values:
+                    values[c] = through(c, policy[c],
+                                        values[successor(c, policy[c])])
+        if values[start][0] > 0:
+            return True
+        # Improve: switch a cell to a move strictly better than its own.
+        changed = False
+        for cell in cells:
+            best_num, best_den = values[cell]
+            for k in range(len(moves[cell % n])):
+                num, den = through(cell, k, values[successor(cell, k)])
+                if num * best_den > best_num * den:
+                    best_num, best_den = num, den
+                    policy[cell] = k
+                    changed = True
+        if not changed:
+            return False
+
+
 def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                      mode: str = LIMINF, budget: int = 2_000_000) -> Verdict:
     """Decide whether bounded deviations refute memoryless optimality.
@@ -683,15 +824,24 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     witness.  Step 2: for each player, search deviating plays against
     every opponent strategy that attains the saddle value; memoryless
     optimality of the pair is refuted only if every such opponent can be
-    beaten.  Step 3: otherwise report no witness up to the bound, which
-    is explicitly not a proof of optimality.  The table and the search
-    share ``budget``: the table costs one unit per memoryless profile,
-    and _dp_scan's coefficient table one unit per coefficient, each
-    charged before it is built.
+    beaten.  Under the convergent and ratio-1 classes _best_response
+    first decides whether any play, of any memory, beats the value
+    against that opponent; only then does the scan look for the first
+    such play within the bound.  Step 3: otherwise report no witness up
+    to the bound.  For those classes a best response is a lasso of at
+    most m + |Q|*p edges, so from mem_bound >= p + ceil(m/|Q|) on the
+    scan misses none: a no-witness there means that, for each player,
+    some optimal opponent is beaten by no strategy of any memory, and a
+    scan that finds nothing after a best response that beats the value
+    is an internal error.  Under a growing
+    ratio the verdict is bounded only.  The table and the search share
+    ``budget``: the table costs one unit per memoryless profile, the
+    best response one unit per product cell, and _dp_scan's coefficient
+    table one unit per coefficient, each charged before it is built.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
-    report, row_mins, col_maxs = _solve_ranked(g, seq, mode, budget)
+    report = solve_enumerative(g, seq, mode, budget)
     maximin = report.maximin.exact
     minimax = report.minimax.exact
     if maximin != minimax:
@@ -717,27 +867,39 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
 
     growing = analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED
     scan = _walk_scan if growing else _dp_scan
-    if not growing:
-        # One unit per coefficient of _dp_scan's table, before it is built.
-        spend(seq.prefix_len + seq.period * (max_len + 1))
+    # _dp_scan's coefficient table, charged once, before the first scan.
+    table = 0 if growing else seq.prefix_len + seq.period * (max_len + 1)
+    complete = not growing and (
+        mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
     cache: dict = {}
-    level = max(row_mins)  # the rank of the saddle value
+    level = max(report.row_min_ranks)  # the rank of the saddle value
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
         if deviator == 1:
-            responses = [pi for pi, top in zip(report.p2_strategies, col_maxs)
+            responses = [pi for pi, top in zip(report.p2_strategies,
+                                               report.col_max_ranks)
                          if top == level]
         else:
             responses = [sigma for sigma, low in zip(report.p1_strategies,
-                                                     row_mins)
+                                                     report.row_min_ranks)
                          if low == level]
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:
-            word = scan(g, _deviation_edges(g, deviator, response), deviator,
-                        seq, mode, value, max_len, spend, cache)
+            options = _deviation_edges(g, deviator, response)
+            if not growing and not _best_response(g, options, deviator, seq,
+                                                  value, spend):
+                beats_every_response = False
+                break
+            spend(table)
+            table = 0
+            word = scan(g, options, deviator, seq, mode, value, max_len,
+                        spend, cache)
             if word is None:
+                if complete:
+                    raise RuntimeError(
+                        "deviation search missed the best response's play")
                 beats_every_response = False
                 break
             phi = eval_exact(seq, word, mode).exact

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import wavg.payoff
-from wavg import serialize_game, solver, two_branch_gadget
+from wavg import cli, serialize_game, solver, two_branch_gadget
 from wavg.cli import main
 
 F = Fraction
@@ -240,6 +240,16 @@ class TestStructuredOutput:
         _, out1, _ = run(capsys, "verify-paper", "--format", "structured")
         _, out2, _ = run(capsys, "verify-paper", "--format", "structured")
         assert out1 == out2
+
+    def test_parser_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = ("check-memoryless", "--game", "builtin:two-branch", "--seq",
+                "geom:2", "--format", "structured")
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_check_memoryless_structured(self, capsys):
         code, out, _ = run(capsys, "check-memoryless", "--game",

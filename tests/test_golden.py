@@ -69,6 +69,11 @@ for _tag, _spec in (("mean", "mean"), ("disc-1_2", "disc:1/2"),
                     ("blocks-1-1_2-mu-1_8", "blocks:1,1/2;mu=1/8")):
     ROWS[f"check-spike-6-{_tag}-liminf"] = (
         ["check-memoryless", "--game", "builtin:spike:6", "--seq", _spec], 0)
+# spike:10 under this block sequence, whose scan alone ran out of the
+# default budget, decides by the best response without scanning.
+ROWS["check-spike-10-blocks-1-1_2-mu-1_8-liminf"] = (
+    ["check-memoryless", "--game", "builtin:spike:10",
+     "--seq", "blocks:1,1/2;mu=1/8"], 0)
 ROWS["solve-two-branch-geom-2"] = (
     ["solve", "--game", "builtin:two-branch", "--seq", "geom:2"], 0)
 ROWS["solve-spike-4-mean"] = (

@@ -315,16 +315,41 @@ class TestCheckMemoryless:
             check_memoryless(two_branch_gadget(), geometric(2), mem_bound=2,
                              budget=1)
 
-    def test_coefficient_table_charged_before_it_is_built(self, monkeypatch):
-        # Two profiles, then 1 + 10**6 coefficients for _dp_scan's table.
-        def unreachable(*args, **kwargs):
-            raise AssertionError("coefficient table built past the budget")
+    @staticmethod
+    def _refuse_long_tables(monkeypatch):
+        # The best response reads c_0 .. c_(m+p-1); _dp_scan's table at
+        # mem_bound 10**6 would be millions long.
+        real = solver._int_coeffs
 
-        monkeypatch.setattr(solver, "_int_coeffs", unreachable)
+        def bounded(seq, count):
+            if count > 100:
+                raise AssertionError("coefficient table built past the budget")
+            return real(seq, count)
+
+        monkeypatch.setattr(solver, "_int_coeffs", bounded)
+
+    def test_coefficient_table_charged_before_it_is_built(self, monkeypatch):
+        # Three profiles and 7 * 2 product cells, whose best response beats
+        # the value; then 2 * (7 * 10**6 + 1) coefficients for _dp_scan's
+        # table.
+        self._refuse_long_tables(monkeypatch)
         with pytest.raises(BudgetExceededError,
                            match="^deviation search exceeded its budget$"):
-            check_memoryless(loops_gadget((1, 0)), mean_sequence(),
+            check_memoryless(cycle_choice_gadget(3),
+                             parse_sequence("blocks:2,1;mu=1"),
                              mem_bound=10**6, budget=1_000)
+
+    def test_no_beating_play_skips_the_scan(self, monkeypatch):
+        # Nothing beats the value, so neither _dp_scan nor its table runs,
+        # whatever the memory bound.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("deviation scan run")
+
+        self._refuse_long_tables(monkeypatch)
+        monkeypatch.setattr(solver, "_dp_scan", unreachable)
+        verdict = check_memoryless(loops_gadget((1, 0)), mean_sequence(),
+                                   mem_bound=10**6, budget=1_000)
+        assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
 
     def test_witness_payoff_strictly_better(self):
         verdict = check_memoryless(two_branch_gadget(), geometric(2),
@@ -496,8 +521,10 @@ class TestDeviationSearchOracle:
 
     def test_ratio_one_cuts_below_prefix_share_classes(self, monkeypatch):
         # Under ratio 1 a cut below the sequence prefix joins its class, so
-        # it runs no closed-walk DP of its own.
+        # it runs no closed-walk DP of its own.  The best response is taken
+        # to beat every value, so that every response is scanned.
         seq = parse_sequence("blocks:1,2;mu=1;prefix=5,0,1")
+        monkeypatch.setattr(solver, "_best_response", lambda *args: True)
         spent = _record_dp_spend(monkeypatch)
         for seed in ORACLE_SEEDS:
             check_memoryless(_oracle_game(seed), seq, mem_bound=2,
@@ -505,15 +532,18 @@ class TestDeviationSearchOracle:
         assert sum(spent) <= 4_383
 
     @pytest.mark.parametrize("spec", ["mean", "disc:1/2"])
-    def test_lengths_share_one_closed_walk_dp(self, spec, monkeypatch):
+    def test_lengths_share_one_closed_walk_dp(self, spec):
         # Every cycle length of these period-1 sequences reads one stream of
         # weights, so each start runs one walk of max_len = 114 steps, not
-        # one per length: spike:8 fits the default budget.
-        spent = _record_dp_spend(monkeypatch)
-        verdict = check_memoryless(cycle_choice_gadget(8),
-                                   parse_sequence(spec), mem_bound=2)
-        assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
-        assert verdict.budget == 2_000_000
+        # one per length.  check_memoryless no longer scans here, as
+        # nothing beats the value, so the scan is called directly.
+        g, seq = cycle_choice_gadget(8), parse_sequence(spec)
+        value = solve_enumerative(g, seq).maximin.exact
+        spent = []
+        options = solver._deviation_edges(g, 1,
+                                          next(enumerate_memoryless(g, 2)))
+        assert solver._dp_scan(g, options, 1, seq, LIMINF, value,
+                               2 * len(g.states), spent.append, {}) is None
         assert sum(spent) <= 44_236
 
     @pytest.mark.parametrize("spec", ORACLE_CLASSES)
@@ -551,16 +581,123 @@ class TestDeviationSearchOracle:
                         for g in games]
 
 
+def _positional_product_oracle(g, options, deviator, seq, value):
+    """Whether the play of some positional strategy on the product of the
+    states with the sequence positions (0 .. m-1, then m .. m+p-1 wrapping
+    to m) beats ``value``: every simple product path from (start, 0) and
+    each move that closes it, the lasso evaluated exactly."""
+    m, size = seq.prefix_len, seq.prefix_len + seq.period
+    path, rewards = {(g.start, 0): 0}, []
+    frames = [((g.start, 0), iter(options[g.start]))]
+    while frames:
+        here, edges = frames[-1]
+        edge = next(edges, None)
+        if edge is None:
+            frames.pop()
+            del path[here]
+            if rewards:
+                rewards.pop()
+            continue
+        there = (edge.dst, here[1] + 1 if here[1] + 1 < size else m)
+        cut = path.get(there)
+        if cut is None:
+            path[there] = len(rewards) + 1
+            rewards.append(edge.weight)
+            frames.append((there, iter(options[edge.dst])))
+            continue
+        word = LassoWord(tuple(rewards[:cut]),
+                         tuple(rewards[cut:]) + (edge.weight,))
+        if solver._improves(deviator, eval_exact(seq, word).exact, value):
+            return True
+    return False
+
+
+def _best_response_scans(seq, games):
+    """(g, options, deviator, threshold) of every _oracle_scans case."""
+    for g in games:
+        for deviator, opponent, threshold in _oracle_scans(g, seq):
+            yield (g, solver._deviation_edges(g, deviator, opponent),
+                   deviator, threshold)
+
+
+class TestBestResponse:
+    @pytest.mark.parametrize("spec", ORACLE_CLASSES)
+    def test_matches_positional_product_strategies(self, spec):
+        seq = parse_sequence(spec)
+        games = [random_game(seed, max_states=states, max_out_degree=degree)
+                 for seed in range(10)
+                 for states, degree in ((3, 2), (4, 3), (5, 2), (5, 3))]
+        answers = []
+        for g, options, deviator, threshold in _best_response_scans(seq,
+                                                                    games):
+            found = solver._best_response(g, options, deviator, seq,
+                                          threshold, lambda amount: None)
+            assert found == _positional_product_oracle(g, options, deviator,
+                                                       seq, threshold)
+            answers.append(found)
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("spec", ORACLE_CLASSES)
+    def test_matches_scan_at_the_complete_bound(self, spec):
+        # At mem_bound p + ceil(m/|Q|) the scan covers every lasso of
+        # m + |Q|*p edges, so it finds a play exactly when one exists.
+        seq = parse_sequence(spec)
+        games = [random_game(seed, max_states=states, max_out_degree=degree)
+                 for seed in ORACLE_SEEDS
+                 for states, degree in ((5, 2), (3, 3))]
+        for g, options, deviator, threshold in _best_response_scans(seq,
+                                                                    games):
+            bound = seq.period + -(-seq.prefix_len // len(g.states))
+            word = solver._dp_scan(g, options, deviator, seq, LIMINF,
+                                   threshold, bound * len(g.states),
+                                   lambda amount: None, {})
+            assert solver._best_response(
+                g, options, deviator, seq, threshold,
+                lambda amount: None) == (word is not None)
+
+    def test_scan_missing_a_beating_play_is_an_internal_error(self,
+                                                               monkeypatch):
+        # Period 2 and no prefix put the bound at mem_bound 2, where an
+        # empty scan contradicts a best response that beats the value.
+        g, seq = detour_gadget(4, 1, 3), parse_sequence("blocks:1,1/2;mu=1/8")
+        monkeypatch.setattr(solver, "_dp_scan", lambda *args: None)
+        with pytest.raises(RuntimeError, match="missed the best response"):
+            check_memoryless(g, seq, mem_bound=2)
+        # Below the bound an empty scan is a bounded no-witness.
+        assert (check_memoryless(g, seq, mem_bound=1).kind
+                is VerdictKind.NO_WITNESS_UP_TO_BOUND)
+
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_spikes_decide_without_a_scan(self, k, monkeypatch):
+        # The scan alone spent 1,221,238 units on spike:8 and ran out of
+        # the default budget on spike:10.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("deviation scan run")
+
+        monkeypatch.setattr(solver, "_dp_scan", unreachable)
+        verdict = check_memoryless(cycle_choice_gadget(k),
+                                   parse_sequence("blocks:1,1/2;mu=1/8"))
+        assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
+        assert verdict.budget == 2_000_000
+
+
 class TestWitnessGuard:
     # Both engines hand their lasso to check_memoryless, which evaluates it
     # exactly and refuses one that does not beat the value; verify-paper
-    # turns the refusal into failed checks instead of a crash.
-    @pytest.mark.parametrize("engine, spec", [("_dp_scan", "mean"),
-                                              ("_walk_scan", "geom:2")])
+    # turns the refusal into failed checks instead of a crash.  _dp_scan
+    # runs only where the best response beats the value, as on the detour
+    # gadget under this block sequence (value 3).
+    @pytest.mark.parametrize("engine, spec, lasso_cycle", [
+        ("_dp_scan", "blocks:1,1/2;mu=1/8", (1,)),
+        ("_walk_scan", "geom:2", (4,))],
+        ids=["_dp_scan-blocks:1,1/2;mu=1/8", "_walk_scan-geom:2"])
     def test_lasso_not_beating_the_value_is_refused(self, engine, spec,
-                                                    monkeypatch):
-        g, seq = two_branch_gadget(), parse_sequence(spec)
-        monkeypatch.setattr(solver, engine, lambda *args: LassoWord((), (4,)))
+                                                    lasso_cycle, monkeypatch):
+        g = (detour_gadget(4, 1, 3) if engine == "_dp_scan"
+             else two_branch_gadget())
+        seq = parse_sequence(spec)
+        monkeypatch.setattr(solver, engine,
+                            lambda *args: LassoWord((), lasso_cycle))
         message = "deviation search disagrees with the exact evaluator"
         with pytest.raises(RuntimeError, match=message):
             check_memoryless(g, seq, mem_bound=2)
