@@ -35,8 +35,15 @@ def _rewards(args: str, count: int) -> list:
     return rewards
 
 
+def _two_branch(args: str) -> games.GameGraph:
+    if args:
+        raise InputError(
+            f"builtin:two-branch takes no arguments, got {args!r}")
+    return games.two_branch_gadget()
+
+
 _BUILTIN_GADGETS = {
-    "two-branch": lambda args: games.two_branch_gadget(),
+    "two-branch": _two_branch,
     "loops": lambda args: games.loops_gadget(
         [sequences.parse_rational(t) for t in args.split(",")]),
     "escape": lambda args: games.escape_gadget(sequences.parse_rational(args)),

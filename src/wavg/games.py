@@ -48,14 +48,15 @@ class GameGraph:
     def __post_init__(self):
         self.states = tuple(self.states)
         self.edges = tuple(self.edges)
-        if len(set(self.states)) != len(self.states):
+        known = set(self.states)
+        if len(known) != len(self.states):
             raise GameFormatError("duplicate state names")
         for q, owner in self.owners.items():
-            if q not in set(self.states):
+            if q not in known:
                 raise GameFormatError(f"owner given for unknown state {q!r}")
             if owner not in (1, 2):
                 raise GameFormatError(f"owner of {q!r} must be 1 or 2")
-        if set(self.owners) != set(self.states):
+        if set(self.owners) != known:
             missing = [q for q in self.states if q not in self.owners]
             raise GameFormatError(f"states without owner: {missing}")
         out: dict[str, list[Edge]] = {q: [] for q in self.states}

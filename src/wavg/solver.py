@@ -21,25 +21,10 @@ The search takes one of two paths, chosen by the sequence class:
 
 * Convergent (ratio < 1) and ratio-1 sequences: the payoff of a lasso is
   linear-fractional in its rewards, so "beats v" is the sign of a linear
-  form, the numerator of the payoff module's closed form.  For a cycle of
-  length L entered at first, with H = max(m, first), span = lcm(p, L) and
-  rho = ratio**(span/p) = num/den, cycle slot j weighs (den - num) c_i
-  over [first, H) plus den c_i over [H, H + span), at the positions
-  i = first + j mod L, and prefix position i weighs (den - num) c_i,
-  which is 0 under ratio 1.  An integer best-walk DP over (position,
-  state) and forward closed-walk DPs per (cut class, weight stream,
-  state) decide it, and a greedy rebuild returns the first witness in
-  the order above.  Under ratio 1 a cycle length L reads the fold of
-  period gcd(p, L) of its class's block, one of tau(p) streams per
-  class, tau(p) the number of divisors of the period p.  Otherwise a
-  length L that p divides reads, at a class at or past the prefix
-  length m, the class's coefficients in order.  Each such stream is
-  walked once, max_len steps, so these lengths cost
-  O(p * tau(p) * |Q| * |E| * max_len) steps in all.  Every other
-  length, p not dividing L under ratio != 1 or any length at a cut
-  below m, walks a stream of its own, L steps, for
-  O((m+p) * |Q| * |E| * max_len**2) at worst.  One budget unit is one
-  DP cell filled.
+  form, the numerator of the payoff module's closed form.  ``_dp_scan``
+  decides it by integer best-walk and closed-walk DPs and rebuilds the
+  first witness in the order above greedily; its docstring gives the
+  weights and the cost.  One budget unit is one DP cell filled.
 * Growing sequences (ratio a/b > 1, any block length): a lasso's payoff
   is the least (liminf) or greatest (limsup) of its phase limits.  Under
   liminf the maximizer improves only if every phase limit rises above v,
@@ -121,8 +106,10 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
     once, equal values sharing a rank, and the row minima and column
     maxima are taken over the integer ranks.  Ties are broken by
     enumeration order (first strategy found).  The number of profiles
-    must not exceed ``budget``.
+    must not exceed ``budget``, which must be nonnegative.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
             "sequence has no exact evaluator; use eval_approx-based tooling")
@@ -327,15 +314,27 @@ class Verdict:
     budget: int
 
 
+def _edge_gains(g: GameGraph, value: Fraction) -> dict[str, tuple[int, ...]]:
+    """Per state, the integer gains U - V of its out-edges: each reward
+    and ``value`` scaled to integers over one common positive unit."""
+    unit = math.lcm(value.denominator, *(e.weight.denominator for e in g.edges))
+    level = value.numerator * (unit // value.denominator)
+    return {q: tuple(e.weight.numerator * (unit // e.weight.denominator) - level
+                     for e in g.out_edges(q))
+            for q in g.states}
+
+
 def _deviation_edges(g: GameGraph, deviator: int,
-                     opponent: MemorylessStrategy):
-    """Per-state candidate edges: free for the deviator, fixed elsewhere."""
+                     opponent: MemorylessStrategy, gains: dict) -> dict:
+    """Per state, the candidate edges paired with their gains from
+    _edge_gains: every out-edge for the deviator, the opponent's choice
+    elsewhere."""
     options = {}
     for q in g.states:
-        if g.owner(q) == deviator:
-            options[q] = g.out_edges(q)
-        else:
-            options[q] = (opponent.choice[q],)
+        edges = g.out_edges(q)
+        pairs = tuple(zip(edges, gains[q]))
+        options[q] = (pairs if g.owner(q) == deviator
+                      else (pairs[edges.index(opponent.choice[q])],))
     return options
 
 
@@ -344,33 +343,17 @@ def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
     return phi > value if deviator == 1 else phi < value
 
 
-def _edge_gains(g: GameGraph, options: dict,
-                value: Fraction) -> dict[str, tuple[int, ...]]:
-    """Per-state integer gains U - V of the candidate edges: each reward
-    and ``value`` scaled to integers over one common positive unit."""
-    unit = math.lcm(value.denominator, *(e.weight.denominator for e in g.edges))
-    level = value.numerator * (unit // value.denominator)
-    return {q: tuple(e.weight.numerator * (unit // e.weight.denominator) - level
-                     for e in es)
-            for q, es in options.items()}
-
-
-def _signed_gains(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-                  value: Fraction, coeffs) -> dict[str, tuple[int, ...]]:
-    """The edge gains of _edge_gains, negated where needed so that the
-    deviator maximizes a linear form in them: beating ``value`` is that
-    form's being positive.  The sign is the deviator's (1 maximizes)
-    times that of the payoff's denominator, the form at every reward 1,
-    read here for x = () and |u| = 1; ``coeffs`` holds c_0 .. c_(m+p-1)
-    at least, as integers."""
-    total = sum(_slot_weights(coeffs, seq, 0, 1)[0])
-    sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
-    return {q: tuple(sign * d for d in ds)
-            for q, ds in _edge_gains(g, options, value).items()}
+def _deviator_sign(deviator: int, seq: CoeffSeq) -> int:
+    """The sign that turns the gains into a linear form the deviator
+    maximizes, positive exactly where the play beats the value: the
+    deviator's sign (1 maximizes) times that of the payoff's denominator,
+    the series total under ratio < 1 and the block sum under ratio 1."""
+    total = analyze(seq).series_sum if seq.ratio < 1 else sum(seq.block)
+    return (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
 
 
 def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-               mode: str, value: Fraction, max_len: int, spend: Callable,
+               mode: str, max_len: int, spend: Callable,
                cache: dict) -> Optional[LassoWord]:
     """Enumerate every walk from the start up to ``max_len`` edges.
 
@@ -380,10 +363,10 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     (cut - m) mod gcd(p, |u|) of the cycle against the block: the set of
     phase limits is the same for every cut with that offset.  The phase
     limits minus v are the ratios W_r / V_r of payoff._tail_limits fed
-    the cycle's integer gains U - V.  V_r depends only on the span, so
-    its sign is found once per span, and W_r once per (cycle, offset):
-    "beats v" is the extreme of the signs of W_r * V_r, memoized per
-    (cycle, offset) in ``cache``.
+    the cycle's integer gains U - V, read off ``options``.  V_r depends
+    only on the span, so its sign is found once per span, and W_r once
+    per (cycle, offset): "beats v" is the extreme of the signs of
+    W_r * V_r, memoized per (cycle, offset) in ``cache``.
     A candidate that cannot precede the best one found so far is skipped;
     any other costs its cycle length in budget units.  Returns the
     winning lasso, which check_memoryless confirms exactly.  The walk is
@@ -394,7 +377,6 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     a, b = seq.ratio.numerator, seq.ratio.denominator
     extreme = min if mode == LIMINF else max
     wanted = 1 if deviator == 1 else -1
-    edge_gains = _edge_gains(g, options, value)
     # Per span: the window c_m .. c_(m+span-1), rho = num/den and the
     # sign of each phase's V_r, none of which depends on the cycle.
     tails: dict[int, tuple] = {}
@@ -433,8 +415,8 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                 gains.pop()
                 trail.pop()
             continue
-        idx, edge = step
-        gains.append(edge_gains[states[-1]][idx])
+        idx, (edge, gain) = step
+        gains.append(gain)
         here = edge.dst
         states.append(here)
         rewards.append(edge.weight)
@@ -462,9 +444,8 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
 
 
 def _slot_weights(coeffs, seq: CoeffSeq, first: int,
-                  length: int) -> tuple[tuple[int, ...], int]:
-    """Weights of the slots of a cycle of ``length`` entered at ``first``,
-    and the factor den - num of the positions before it.
+                  length: int) -> tuple[int, ...]:
+    """Weights of the slots of a cycle of ``length`` entered at ``first``.
 
     They are the numerator of payoff._tail_limits read as a linear form in
     the rewards.  With H = max(m, first), span = lcm(p, length) and rho =
@@ -480,7 +461,7 @@ def _slot_weights(coeffs, seq: CoeffSeq, first: int,
     for i in range(first, head + span):
         weights[(i - first) % length] += coeffs[i] * (den if i >= head
                                                       else den - num)
-    return tuple(weights), den - num
+    return tuple(weights)
 
 
 def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
@@ -553,13 +534,13 @@ def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
         else:
             raise RuntimeError("deviation DP lost its witness")
         score += weight * gain
-        rewards.append(options[here][idx].weight)
+        rewards.append(options[here][idx][0].weight)
         here = dst
     return tuple(rewards), here, score
 
 
 def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-             mode: str, value: Fraction, max_len: int, spend: Callable,
+             mode: str, max_len: int, spend: Callable,
              cache: dict) -> Optional[LassoWord]:
     """Best-walk DP for the convergent and ratio-1 classes.
 
@@ -569,9 +550,10 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     ratio 1, and cycle slot j by beta_j: (den - num) c_i over the slot's
     positions in [cut, H) plus den c_i over those in [H, H + span).  The
     denominator is the same form with every reward 1, of fixed sign.  So
-    beating ``value`` is the sign of
-    sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), which splits
-    into a best prefix walk to each state q and a best closed walk at q.
+    beating the value v is the sign of
+    sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), in the gains of
+    ``options`` times _deviator_sign, which splits into a best prefix
+    walk to each state q and a best closed walk at q.
     For cut >= m the weights of cut and of its class m + (cut-m) mod p
     differ by the factor ratio**laps, so the closed walks of a class
     serve all its cuts.  A cut below m is its own class, except under
@@ -585,10 +567,16 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     per (class, stream, start) then advances one step per length and
     reads each length's best closed walk off the start's own score,
     keeping only its current layer and dropping a start once no cut left
-    needs it.  Every other length walks a stream of its own, its slot
-    weights.  Step k fills the cells of step k of a DP run afresh for
-    the length, so the scores, and the witness rebuilt from them, are
-    the same; the steps before k are not run again.  Every weight comes
+    needs it.  Each such stream is walked once, max_len steps, and there
+    are tau(p) of them per class under ratio 1 (tau(p) the number of
+    divisors of p) and one otherwise, so these lengths cost
+    O(p * tau(p) * |Q| * |E| * max_len) cells in all.  Every other length,
+    p not dividing L under ratio != 1 or any length at a cut below m,
+    walks a stream of its own, its slot weights, L steps, for
+    O((m+p) * |Q| * |E| * max_len**2) cells at worst.  Step k fills the
+    cells of step k of a DP run afresh for the length, so the scores,
+    and the witness rebuilt from them, are the same; the steps before k
+    are not run again.  Every weight comes
     from one table of c_0 .. c_(m + p*(max_len+1) - 1), which covers the
     window of every class.  Scores are integers; one budget unit per DP
     cell.  Scanning cycle length, then cut, then rebuilding the walk
@@ -598,10 +586,10 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
     coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
-    gains = _signed_gains(g, options, deviator, seq, value, coeffs)
-    steps = {q: tuple((idx, e.dst, d)
-                      for idx, (e, d) in enumerate(zip(es, gains[q])))
-             for q, es in options.items()}
+    sign = _deviator_sign(deviator, seq)
+    steps = {q: tuple((idx, e.dst, sign * d)
+                      for idx, (e, d) in enumerate(pairs))
+             for q, pairs in options.items()}
     back: dict = {q: [] for q in steps}
     for q, moves in steps.items():
         for idx, dst, gain in moves:
@@ -650,13 +638,13 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             # span = length: slot j weighs den * c_(first+j).
             key, factor = (first, 0), b ** (length // p)
         else:
-            betas = slot_weights(first, length)[0]
+            betas = slot_weights(first, length)
             return _ClosedWalks(betas).advance(steps, length, starts, spend)
         if key not in walks:
             # Only multiples of d read the fold of period d.
             walks[key] = _ClosedWalks(
                 coeffs[first:] if key[1] == 0
-                else slot_weights(first, d)[0] * (max_len // d))
+                else slot_weights(first, d) * (max_len // d))
         best = walks[key].advance(steps, length, starts, spend)
         return {q: score * factor for q, score in best.items()}
 
@@ -685,7 +673,7 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             head, q, score = _first_walk(
                 options, steps, back, g.start,
                 [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
-            betas = slot_weights(first, length)[0]
+            betas = slot_weights(first, length)
             loop, _, _ = _first_walk(
                 options, steps, back, q, [w * loop_scale for w in betas],
                 score, {q: 0}, spend)
@@ -694,35 +682,34 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
 
 
 def _best_response(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-                   value: Fraction, spend: Callable) -> bool:
-    """Whether some play, of any memory, beats ``value`` against the
+                   spend: Callable) -> bool:
+    """Whether some play, of any memory, beats the value v against the
     opponent fixed in ``options``: an exact solve for the convergent and
     ratio-1 classes.
 
-    The deviator plays alone on the product of the states with the
-    sequence positions: 0 .. m-1 for the prefix, then m .. m+p-1 for the
-    block, where m+p-1 moves on to m, from (start, 0).  A move from
-    position i scores c_i times its edge gain from _signed_gains, so
-    beating ``value`` is a positive objective.  Under ratio 1 the
-    prefix washes out and a lasso beats the value iff its product cycle
-    has a positive sum: a mean-payoff objective (Ehrenfeucht & Mycielski
-    1979), which Bellman-Ford decides as a positive cycle reachable from
-    the start.  Under ratio a/b < 1 the numerator of the payoff is the
-    total of the scores, each wrap of the block scaling what follows by
-    a/b: a discounted sum (Zwick & Paterson 1996), whose best value at
-    the start exact policy iteration finds, on integer (numerator,
-    denominator) pairs.  Both objectives have positional optima on the
-    product, so the answer covers every strategy, and the best play is a
-    lasso of at most m + |Q|*p edges.  One budget unit per product
-    cell, all charged before the product is built; the solve itself is
-    polynomial in the product's size.
+    The deviator plays alone on the product of the states with the sequence
+    positions: 0 .. m-1 for the prefix, then m .. m+p-1 for the block, where
+    m+p-1 moves on to m, from (start, 0).  A move from position i scores c_i
+    times its edge gain from ``options`` times _deviator_sign, so beating v
+    is a positive objective.  Under ratio 1 the prefix washes out and a
+    lasso beats the value iff its product cycle has a positive sum: a
+    mean-payoff objective (Ehrenfeucht & Mycielski 1979), which Bellman-Ford
+    decides as a positive cycle reachable from the start.  Under ratio
+    a/b < 1 the numerator of the payoff is the total of the scores, each
+    wrap of the block scaling what follows by a/b: a discounted sum (Zwick
+    & Paterson 1996), whose best value at the start exact policy iteration
+    finds, on integer (numerator, denominator) pairs.  Both objectives have
+    positional optima on the product, so the answer covers every strategy,
+    and the best play is a lasso of at most m + |Q|*p edges.  One budget
+    unit per product cell, all charged before the product is built; the
+    solve itself is polynomial in the product's size.
     """
     index = {q: i for i, q in enumerate(g.states)}
     n, m, size = len(index), seq.prefix_len, seq.prefix_len + seq.period
     spend(n * size)
     coeffs = _int_coeffs(seq, size)[0]
-    gains = _signed_gains(g, options, deviator, seq, value, coeffs)
-    moves = [tuple(zip(gains[q], (index[e.dst] for e in options[q])))
+    sign = _deviator_sign(deviator, seq)
+    moves = [tuple((sign * d, index[e.dst]) for e, d in options[q])
              for q in g.states]
     # Cell pos * n + state; each move scores coeffs[pos] * gain and goes
     # to cell after[pos] * n + dst.
@@ -838,9 +825,12 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     ``budget``: the table costs one unit per memoryless profile, the
     best response one unit per product cell, and _dp_scan's coefficient
     table one unit per coefficient, each charged before it is built.
+    A negative ``mem_bound`` or ``budget`` is a ValueError.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     report = solve_enumerative(g, seq, mode, budget)
     maximin = report.maximin.exact
     minimax = report.minimax.exact
@@ -872,6 +862,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     complete = not growing and (
         mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
     cache: dict = {}
+    gains = _edge_gains(g, value)
     level = max(report.row_min_ranks)  # the rank of the saddle value
     for deviator in (1, 2):
         if not g.owned_states(deviator):
@@ -887,15 +878,15 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:
-            options = _deviation_edges(g, deviator, response)
+            options = _deviation_edges(g, deviator, response, gains)
             if not growing and not _best_response(g, options, deviator, seq,
-                                                  value, spend):
+                                                  spend):
                 beats_every_response = False
                 break
             spend(table)
             table = 0
-            word = scan(g, options, deviator, seq, mode, value, max_len,
-                        spend, cache)
+            word = scan(g, options, deviator, seq, mode, max_len, spend,
+                        cache)
             if word is None:
                 if complete:
                     raise RuntimeError(
@@ -994,8 +985,11 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
     covering the stricter reading of the property.  Returns None when
     the space contains no witness; raises BudgetExceededError if the
     search is cut short, which is distinct from a verified absence, and
-    ValueError if the bounds leave no quad to compare.
+    ValueError if the bounds leave no quad to compare or the budget is
+    negative.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     alphabet = tuple(as_rational(a) for a in alphabet)
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
@@ -1112,8 +1106,10 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     alphabet {0, 1}, over prefixes of length at most 2 and cycles up to
     the block period, at least 2 and at most 4 long.  ``budget`` bounds
     the gadgets checked; a search that needs more raises
-    BudgetExceededError.
+    BudgetExceededError, and a negative one ValueError.
     """
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     if not supports_exact(seq):
         raise UnsupportedSequenceError(
             "sequence has no exact evaluator; use eval_approx-based tooling")

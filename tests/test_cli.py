@@ -145,6 +145,13 @@ class TestCheckMemoryless:
         assert code == 2
         assert "expected 3" in err
 
+    def test_two_branch_takes_no_arguments(self, capsys):
+        code, out, err = run(capsys, "check-memoryless", "--game",
+                             "builtin:two-branch:5", "--seq", "mean")
+        assert code == 2
+        assert out == ""
+        assert "takes no arguments" in err
+
     @pytest.mark.parametrize("budget, error", [
         (6560, "6561 memoryless profiles exceed budget 6560"),
         (6561, "deviation search exceeded its budget")])
@@ -183,6 +190,20 @@ class TestCheckMemoryless:
         assert code == 4
         assert out == ""
         assert "internal error" in err and "solver fault" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--game", "builtin:two-branch", "--seq", "geom:2"),
+    ("check-memoryless", "--game", "builtin:two-branch", "--seq", "geom:2"),
+    ("find-witness", "--seq", "geom:2"),
+    ("monotone", "--seq", "geom:2")], ids=lambda argv: argv[0])
+def test_negative_budget_is_bad_input(capsys, argv):
+    # A negative budget is malformed input (exit 2), not an exhausted
+    # budget (exit 3), which --budget 0 still gives.
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "budget must be nonnegative" in err
 
 
 class TestFindWitnessAndMonotone:

@@ -379,16 +379,17 @@ class TestCheckMemoryless:
         assert verdict.witness.player == 2
 
 
-def _reference_scan(g, options, deviator, seq, mode, value, max_len, spend,
-                    cache):
+def _reference_scan(g, options, deviator, seq, mode, max_len, spend, cache):
     """Every walk from the start up to ``max_len`` edges, each closed lasso
     evaluated exactly: the reference that both deviation searches match.
 
     Takes the arguments of solver._dp_scan and solver._walk_scan, so it can
-    stand in for either, and charges each candidate its cycle length.
+    stand in for either, and charges each candidate its cycle length.  A
+    lasso beats the value v when its lasso of gains does: that payoff is
+    unit * (phi - v) with unit > 0, so it beats 0 where phi beats v.
     """
     best = None
-    states, rewards, trail = [g.start], [], []
+    states, rewards, gains, trail = [g.start], [], [], []
     frames = [iter(enumerate(options[g.start]))]
     while frames:
         step = next(frames[-1], None)
@@ -397,28 +398,32 @@ def _reference_scan(g, options, deviator, seq, mode, value, max_len, spend,
             if trail:
                 states.pop()
                 rewards.pop()
+                gains.pop()
                 trail.pop()
             continue
-        idx, edge = step
+        idx, (edge, gain) = step
         states.append(edge.dst)
         rewards.append(edge.weight)
+        gains.append(gain)
         trail.append(idx)
         depth = len(rewards)
         for cut in range(depth):
             if states[cut] != edge.dst:
                 continue
             spend(depth - cut)
-            word = LassoWord(tuple(rewards[:cut]), tuple(rewards[cut:]))
-            phi = eval_exact(seq, word, mode).exact
-            if solver._improves(deviator, phi, value):
+            phi = eval_exact(seq, LassoWord(tuple(gains[:cut]),
+                                            tuple(gains[cut:])), mode).exact
+            if solver._improves(deviator, phi, 0):
                 key = (depth - cut, cut, tuple(trail))
                 if best is None or key < best[0]:
-                    best = (key, word)
+                    best = (key, LassoWord(tuple(rewards[:cut]),
+                                           tuple(rewards[cut:])))
         if depth < max_len:
             frames.append(iter(enumerate(options[edge.dst])))
         else:
             states.pop()
             rewards.pop()
+            gains.pop()
             trail.pop()
     return None if best is None else best[1]
 
@@ -463,11 +468,15 @@ def _oracle_scans(g, seq, mode=LIMINF):
                 yield deviator, opponent, threshold
 
 
+def _options(g, deviator, opponent, threshold):
+    return solver._deviation_edges(g, deviator, opponent,
+                                   solver._edge_gains(g, threshold))
+
+
 def _scan(scan, g, seq, deviator, opponent, threshold, mode=LIMINF,
           mem_bound=2):
-    options = solver._deviation_edges(g, deviator, opponent)
-    return scan(g, options, deviator, seq, mode, threshold,
-                mem_bound * len(g.states), lambda amount: None, {})
+    return scan(g, _options(g, deviator, opponent, threshold), deviator, seq,
+                mode, mem_bound * len(g.states), lambda amount: None, {})
 
 
 def _record_dp_spend(monkeypatch) -> list:
@@ -540,11 +549,27 @@ class TestDeviationSearchOracle:
         g, seq = cycle_choice_gadget(8), parse_sequence(spec)
         value = solve_enumerative(g, seq).maximin.exact
         spent = []
-        options = solver._deviation_edges(g, 1,
-                                          next(enumerate_memoryless(g, 2)))
-        assert solver._dp_scan(g, options, 1, seq, LIMINF, value,
-                               2 * len(g.states), spent.append, {}) is None
+        options = _options(g, 1, next(enumerate_memoryless(g, 2)), value)
+        assert solver._dp_scan(g, options, 1, seq, LIMINF, 2 * len(g.states),
+                               spent.append, {}) is None
         assert sum(spent) <= 44_236
+
+    @pytest.mark.parametrize("k, spec, bound", [
+        (15, "blocks:2,1;mu=1", 273_665),
+        (16, "blocks:1;mu=1/2;prefix=1,-2,3", 48_082)])
+    def test_witness_runs_share_streams(self, k, spec, bound, monkeypatch):
+        # The best response beats the value here, so check_memoryless
+        # scans.  Under ratio 1 each cycle length reads a fold of its
+        # class's block: with a stream of its own per length spike:15
+        # costs 1,697,507 units.
+        # Under ratio 1/2 and period 1 every length at a class past the
+        # prefix reads the class's coefficients: without that stream
+        # spike:16 costs 213,202 units.
+        spent = _record_dp_spend(monkeypatch)
+        verdict = check_memoryless(cycle_choice_gadget(k),
+                                   parse_sequence(spec))
+        assert verdict.kind is VerdictKind.WITNESS_FOUND
+        assert sum(spent) <= bound
 
     @pytest.mark.parametrize("spec", ORACLE_CLASSES)
     def test_oracle_cases_hold_witnesses(self, spec):
@@ -591,7 +616,7 @@ def _positional_product_oracle(g, options, deviator, seq, value):
     frames = [((g.start, 0), iter(options[g.start]))]
     while frames:
         here, edges = frames[-1]
-        edge = next(edges, None)
+        edge, _ = next(edges, (None, None))
         if edge is None:
             frames.pop()
             del path[here]
@@ -616,8 +641,8 @@ def _best_response_scans(seq, games):
     """(g, options, deviator, threshold) of every _oracle_scans case."""
     for g in games:
         for deviator, opponent, threshold in _oracle_scans(g, seq):
-            yield (g, solver._deviation_edges(g, deviator, opponent),
-                   deviator, threshold)
+            yield (g, _options(g, deviator, opponent, threshold), deviator,
+                   threshold)
 
 
 class TestBestResponse:
@@ -631,7 +656,7 @@ class TestBestResponse:
         for g, options, deviator, threshold in _best_response_scans(seq,
                                                                     games):
             found = solver._best_response(g, options, deviator, seq,
-                                          threshold, lambda amount: None)
+                                          lambda amount: None)
             assert found == _positional_product_oracle(g, options, deviator,
                                                        seq, threshold)
             answers.append(found)
@@ -649,10 +674,10 @@ class TestBestResponse:
                                                                     games):
             bound = seq.period + -(-seq.prefix_len // len(g.states))
             word = solver._dp_scan(g, options, deviator, seq, LIMINF,
-                                   threshold, bound * len(g.states),
+                                   bound * len(g.states),
                                    lambda amount: None, {})
             assert solver._best_response(
-                g, options, deviator, seq, threshold,
+                g, options, deviator, seq,
                 lambda amount: None) == (word is not None)
 
     def test_scan_missing_a_beating_play_is_an_internal_error(self,
