@@ -116,12 +116,6 @@ class FiniteMemoryStrategy:
     choice: dict[tuple[int, str], Edge]
     update: dict[tuple[int, str], int]
 
-    def describe(self) -> str:
-        picks = ", ".join(
-            f"m{m}@{q}:{e.dst}({e.weight})" for (m, q), e in sorted(
-                self.choice.items(), key=lambda kv: (kv[0][1], kv[0][0])))
-        return f"{self.memory_size}-state memory [{picks}]"
-
 
 Strategy = Union[MemorylessStrategy, FiniteMemoryStrategy]
 

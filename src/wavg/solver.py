@@ -40,11 +40,14 @@ The search takes one of two paths, chosen by the sequence class:
   found.
 
 Before the DP, ``_best_response`` solves the deviator's one-player game
-on the product of the states with the sequence positions exactly: a
-mean payoff under ratio 1, a discounted sum under ratio < 1, both with
-positional optima.  So it decides whether a play of any memory beats the
-value, and the DP runs only where one does.  A positional best response
-is a lasso of at most m + |Q|*p edges, so from mem_bound >= p +
+exactly on a graph of the states whose edges are laps: the best score
+of the p block positions from one state to another.  The objective is a
+mean payoff under ratio 1 and a discounted sum under ratio < 1, both
+with positional optima.  So it decides whether a play of any memory
+beats the value, and the DP runs only where one does.  Both read their
+moves from ``_signed_steps``, in which beating the value is a positive
+score.  A positional best response is the m prefix moves and at most
+|Q| laps, a lasso of at most m + |Q|*p edges, so from mem_bound >= p +
 ceil(m/|Q|) on the DP misses none: a no-witness there means that, for
 each player, some optimal opponent is beaten by no strategy of any
 memory.  Under a growing ratio an empty search is a bounded no-witness
@@ -343,18 +346,22 @@ def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
     return phi > value if deviator == 1 else phi < value
 
 
-def _deviator_sign(deviator: int, seq: CoeffSeq) -> int:
-    """The sign that turns the gains into a linear form the deviator
-    maximizes, positive exactly where the play beats the value: the
-    deviator's sign (1 maximizes) times that of the payoff's denominator,
-    the series total under ratio < 1 and the block sum under ratio 1."""
+def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
+    """Per state, its candidate moves from ``options`` as (edge index,
+    destination, signed gain).  The sign turns the gains into a linear
+    form the deviator maximizes, positive exactly where the play beats the
+    value: the deviator's sign (1 maximizes) times that of the payoff's
+    denominator, the series total under ratio < 1 and the block sum under
+    ratio 1."""
     total = analyze(seq).series_sum if seq.ratio < 1 else sum(seq.block)
-    return (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
+    sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
+    return {q: tuple((idx, e.dst, sign * gain)
+                     for idx, (e, gain) in enumerate(pairs))
+            for q, pairs in options.items()}
 
 
 def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-               mode: str, max_len: int, spend: Callable,
-               cache: dict) -> Optional[LassoWord]:
+               mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
     """Enumerate every walk from the start up to ``max_len`` edges.
 
     Only the growing class comes here.  Each visit of a state already on
@@ -366,7 +373,7 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     the cycle's integer gains U - V, read off ``options``.  V_r depends
     only on the span, so its sign is found once per span, and W_r once
     per (cycle, offset): "beats v" is the extreme of the signs of
-    W_r * V_r, memoized per (cycle, offset) in ``cache``.
+    W_r * V_r, memoized per (cycle, offset).
     A candidate that cannot precede the best one found so far is skipped;
     any other costs its cycle length in budget units.  Returns the
     winning lasso, which check_memoryless confirms exactly.  The walk is
@@ -380,6 +387,7 @@ def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     # Per span: the window c_m .. c_(m+span-1), rho = num/den and the
     # sign of each phase's V_r, none of which depends on the cycle.
     tails: dict[int, tuple] = {}
+    cache: dict = {}
 
     def sign(cycle: tuple[int, ...], phase: int) -> int:
         # Tail positions m, m+1, ... against the cycle entered at -phase.
@@ -540,8 +548,7 @@ def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
 
 
 def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-             mode: str, max_len: int, spend: Callable,
-             cache: dict) -> Optional[LassoWord]:
+             mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
     """Best-walk DP for the convergent and ratio-1 classes.
 
     The payoff of x u^w is linear-fractional in the rewards.  Its
@@ -551,9 +558,9 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     positions in [cut, H) plus den c_i over those in [H, H + span).  The
     denominator is the same form with every reward 1, of fixed sign.  So
     beating the value v is the sign of
-    sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), in the gains of
-    ``options`` times _deviator_sign, which splits into a best prefix
-    walk to each state q and a best closed walk at q.
+    sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), in the signed
+    gains of _signed_steps, which splits into a best prefix walk to each
+    state q and a best closed walk at q.
     For cut >= m the weights of cut and of its class m + (cut-m) mod p
     differ by the factor ratio**laps, so the closed walks of a class
     serve all its cuts.  A cut below m is its own class, except under
@@ -586,10 +593,7 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
     coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
-    sign = _deviator_sign(deviator, seq)
-    steps = {q: tuple((idx, e.dst, sign * d)
-                      for idx, (e, d) in enumerate(pairs))
-             for q, pairs in options.items()}
+    steps = _signed_steps(options, deviator, seq)
     back: dict = {q: [] for q in steps}
     for q, moves in steps.items():
         for idx, dst, gain in moves:
@@ -615,6 +619,8 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     for cut, (first, _, _) in enumerate(classes):
         seen[first] = {**seen.get(first, {}), **reach[cut]}
         joined.append(seen[first])
+
+    cache: dict = {}
 
     def slot_weights(first: int, length: int) -> tuple:
         if (first, length) not in cache:
@@ -687,117 +693,96 @@ def _best_response(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     opponent fixed in ``options``: an exact solve for the convergent and
     ratio-1 classes.
 
-    The deviator plays alone on the product of the states with the sequence
-    positions: 0 .. m-1 for the prefix, then m .. m+p-1 for the block, where
-    m+p-1 moves on to m, from (start, 0).  A move from position i scores c_i
-    times its edge gain from ``options`` times _deviator_sign, so beating v
-    is a positive objective.  Under ratio 1 the prefix washes out and a
-    lasso beats the value iff its product cycle has a positive sum: a
-    mean-payoff objective (Ehrenfeucht & Mycielski 1979), which Bellman-Ford
-    decides as a positive cycle reachable from the start.  Under ratio
-    a/b < 1 the numerator of the payoff is the total of the scores, each
-    wrap of the block scaling what follows by a/b: a discounted sum (Zwick
-    & Paterson 1996), whose best value at the start exact policy iteration
-    finds, on integer (numerator, denominator) pairs.  Both objectives have
-    positional optima on the product, so the answer covers every strategy,
-    and the best play is a lasso of at most m + |Q|*p edges.  One budget
-    unit per product cell, all charged before the product is built; the
-    solve itself is polynomial in the product's size.
+    A play is m prefix moves from the start, then one lap of the p block
+    positions after another.  A move at position i scores c_i times its
+    signed gain from _signed_steps, so beating v is a positive objective.
+    A lap's score depends only on the states where it starts and ends, so
+    the deviator plays alone on the states, the edge from q to r scoring
+    the best lap from q to r.  Under ratio 1 the prefix washes out and a
+    lasso beats the value iff its cycle of laps has a positive sum: a
+    mean-payoff objective (Ehrenfeucht & Mycielski 1979), which
+    Bellman-Ford decides as a positive lap cycle reachable from the
+    prefix's ends.  Under ratio a/b < 1 the numerator of the payoff is the
+    prefix's score plus the laps', each lap scaling what follows by a/b: a
+    discounted sum (Zwick & Paterson 1996), whose best values exact policy
+    iteration finds, on integer (numerator, denominator) pairs.  Both
+    objectives have positional optima on the lap graph, so the answer
+    covers every strategy, and the best play is a lasso of at most
+    m + |Q|*p edges.  |Q|*(m+p) budget units, all charged before any
+    work; the solve itself is polynomial in |Q| and m+p.
     """
-    index = {q: i for i, q in enumerate(g.states)}
-    n, m, size = len(index), seq.prefix_len, seq.prefix_len + seq.period
-    spend(n * size)
-    coeffs = _int_coeffs(seq, size)[0]
-    sign = _deviator_sign(deviator, seq)
-    moves = [tuple((sign * d, index[e.dst]) for e, d in options[q])
-             for q in g.states]
-    # Cell pos * n + state; each move scores coeffs[pos] * gain and goes
-    # to cell after[pos] * n + dst.
-    after = list(range(1, size)) + [m]
-    start = index[g.start]
-    cells, seen = [start], {start}
-    for cell in cells:
-        pos, q = divmod(cell, n)
-        for _, dst in moves[q]:
-            nxt = after[pos] * n + dst
-            if nxt not in seen:
-                seen.add(nxt)
-                cells.append(nxt)
+    m, p = seq.prefix_len, seq.period
+    spend(len(g.states) * (m + p))
+    coeffs = _int_coeffs(seq, m + p)[0]
+    steps = _signed_steps(options, deviator, seq)
+
+    def walk(layer: dict, weights) -> dict:
+        for weight in weights:
+            layer = _relax(layer, steps, weight, lambda amount: None)
+        return layer
+
+    # entry[q]: the best prefix score ending in q; laps[q][r]: the best lap
+    # score from q to r.
+    entry = walk({g.start: 0}, coeffs[:m])
+    laps = {q: walk({q: 0}, coeffs[m:]) for q in g.states}
 
     if seq.ratio == 1:
-        # Longest walks from a virtual source into every cell: they settle
-        # within len(cells) rounds unless a positive cycle is reachable.
-        score = dict.fromkeys(cells, 0)
-        frontier = cells
-        for _ in cells:
-            improved = set()
-            for cell in frontier:
-                pos, q = divmod(cell, n)
-                c, base, here = coeffs[pos], after[pos] * n, score[cell]
-                for gain, dst in moves[q]:
-                    total = here + c * gain
-                    if total > score[base + dst]:
-                        score[base + dst] = total
-                        improved.add(base + dst)
+        # Longest lap walks from the prefix's ends: they settle within |Q|
+        # rounds unless a positive lap cycle is reachable.
+        score = dict.fromkeys(entry, 0)
+        frontier = list(score)
+        for _ in g.states:
+            improved = {}
+            for q in frontier:
+                for r, lap in laps[q].items():
+                    total = score[q] + lap
+                    if r not in score or total > score[r]:
+                        score[r] = improved[r] = total
             if not improved:
                 return False
             frontier = improved
         return True
 
     a, b = seq.ratio.numerator, seq.ratio.denominator
-    wrap = size - 1
 
-    def through(cell: int, k: int, later: tuple[int, int]) -> tuple[int, int]:
-        # The value of move k at cell, followed by the value ``later``.
-        pos, q = divmod(cell, n)
-        w = coeffs[pos] * moves[q][k][0]
+    def through(w: int, later: tuple[int, int]) -> tuple[int, int]:
+        # A lap scoring w, then the value ``later`` scaled by a/b.
         num, den = later
-        if pos == wrap:
-            return w * b * den + a * num, b * den
-        return w * den + num, den
+        return w * b * den + a * num, b * den
 
-    def successor(cell: int, k: int) -> int:
-        pos, q = divmod(cell, n)
-        return after[pos] * n + moves[q][k][1]
-
-    policy = dict.fromkeys(cells, 0)
+    policy = {q: next(iter(laps[q])) for q in g.states}
     while True:
-        # Evaluate the policy: each cell's path ends in a cycle, which
-        # wraps K >= 1 times; a cycle cell's value is
-        # sum_t w_t a**k_t b**(K-k_t) / (b**K - a**K), with k_t the
-        # wraps before step t.  The rest follow back along the paths.
-        values: dict[int, tuple[int, int]] = {}
-        for root in cells:
-            path, on_path, cell = [], {}, root
-            while cell not in values and cell not in on_path:
-                on_path[cell] = len(path)
-                path.append(cell)
-                cell = successor(cell, policy[cell])
-            if cell not in values:
-                cycle = path[on_path[cell]:]
-                laps = sum(c // n == wrap for c in cycle)
-                num, k = 0, 0
-                for c in cycle:
-                    pos, q = divmod(c, n)
-                    num += (coeffs[pos] * moves[q][policy[c]][0]
-                            * a ** k * b ** (laps - k))
-                    k += pos == wrap
-                values[cell] = num, b ** laps - a ** laps
+        # Evaluate the policy: each state's path ends in a cycle of K laps,
+        # whose first state is worth (n, b**K - a**K), n the numerator of
+        # ``through`` folded back around the cycle from (0, 1).  The rest
+        # follow back along the paths.
+        values: dict[str, tuple[int, int]] = {}
+        for root in g.states:
+            path, q = [], root
+            while q not in values and q not in path:
+                path.append(q)
+                q = policy[q]
+            if q not in values:
+                cycle = path[path.index(q):]
+                later = (0, 1)
+                for c in reversed(cycle):
+                    later = through(laps[c][policy[c]], later)
+                values[q] = later[0], b ** len(cycle) - a ** len(cycle)
             for c in reversed(path):
                 if c not in values:
-                    values[c] = through(c, policy[c],
-                                        values[successor(c, policy[c])])
-        if values[start][0] > 0:
+                    values[c] = through(laps[c][policy[c]], values[policy[c]])
+        if any(score * values[q][1] + values[q][0] > 0
+               for q, score in entry.items()):
             return True
-        # Improve: switch a cell to a move strictly better than its own.
+        # Improve: switch a state to a lap strictly better than its own.
         changed = False
-        for cell in cells:
-            best_num, best_den = values[cell]
-            for k in range(len(moves[cell % n])):
-                num, den = through(cell, k, values[successor(cell, k)])
+        for q in g.states:
+            best_num, best_den = values[q]
+            for r, lap in laps[q].items():
+                num, den = through(lap, values[r])
                 if num * best_den > best_num * den:
                     best_num, best_den = num, den
-                    policy[cell] = k
+                    policy[q] = r
                     changed = True
         if not changed:
             return False
@@ -823,7 +808,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     is an internal error.  Under a growing
     ratio the verdict is bounded only.  The table and the search share
     ``budget``: the table costs one unit per memoryless profile, the
-    best response one unit per product cell, and _dp_scan's coefficient
+    best response |Q|*(m+p) units, and _dp_scan's coefficient
     table one unit per coefficient, each charged before it is built.
     A negative ``mem_bound`` or ``budget`` is a ValueError.
     """
@@ -861,7 +846,6 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     table = 0 if growing else seq.prefix_len + seq.period * (max_len + 1)
     complete = not growing and (
         mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
-    cache: dict = {}
     gains = _edge_gains(g, value)
     level = max(report.row_min_ranks)  # the rank of the saddle value
     for deviator in (1, 2):
@@ -885,8 +869,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                 break
             spend(table)
             table = 0
-            word = scan(g, options, deviator, seq, mode, max_len, spend,
-                        cache)
+            word = scan(g, options, deviator, seq, mode, max_len, spend)
             if word is None:
                 if complete:
                     raise RuntimeError(

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 import wavg.payoff
-from wavg import cli, serialize_game, solver, two_branch_gadget
+from wavg import (cli, random_game, serialize_game, solver,
+                  two_branch_gadget)
 from wavg.cli import main
 
 F = Fraction
@@ -68,6 +69,14 @@ class TestEvalWord:
                            "--word", "cycle=1/0")
         assert code == 2
         assert "zero denominator" in err
+
+    def test_growing_block_without_a_single_limit_needs_a_horizon(self,
+                                                                   capsys):
+        code, out, err = run(capsys, "eval-word", "--seq", "blocks:1,-2;mu=2",
+                             "--word", "cycle=1,0")
+        assert code == 2
+        assert out == ""
+        assert "pass --horizon" in err
 
     def test_limsup_flag(self, capsys):
         code, out, _ = run(capsys, "eval-word", "--seq", "geom:2",
@@ -180,6 +189,26 @@ class TestCheckMemoryless:
         assert "budget" in err
         assert time.perf_counter() - start < 5
 
+    def test_memoryless_values_without_a_saddle(self, capsys, tmp_path):
+        # No memoryless saddle under this block sequence (maximin 4/3,
+        # minimax 5/3) is already a witness.
+        path = tmp_path / "no-saddle.game"
+        path.write_text(serialize_game(random_game(641, max_states=3,
+                                                   max_out_degree=2)))
+        code, out, _ = run(capsys, "check-memoryless", "--game", str(path),
+                           "--seq", "blocks:2,1;mu=1")
+        assert code == 1
+        assert ("memoryless maximin 4/3 differs from minimax 5/3; "
+                "some player needs memory") in out
+
+    def test_unknown_builtin_lists_the_gadgets(self, capsys):
+        code, out, err = run(capsys, "check-memoryless", "--game",
+                             "builtin:nope", "--seq", "mean")
+        assert code == 2
+        assert out == ""
+        assert ("unknown builtin game 'nope'; available: detour, escape, "
+                "loops, spike, two-branch") in err
+
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("solver fault")
@@ -212,6 +241,15 @@ class TestFindWitnessAndMonotone:
                            "blocks:1,1/2;mu=1/8")
         assert code == 1
         assert "151/48" in out
+
+    def test_find_witness_monotonicity_route(self, capsys):
+        # escape_gadget(1) is the only gadget tried and finds nothing; the
+        # monotonicity search then refutes the sequence.
+        code, out, _ = run(capsys, "find-witness", "--seq", "blocks:2,1;mu=1")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "monotonicity witness: x=() y=(0) u=cycle=0,1 v=cycle=1,0",
+            "values: 1/3 < 2/3 but 2/3 > 1/3"]
 
     def test_find_witness_absent(self, capsys):
         code, out, _ = run(capsys, "find-witness", "--seq", "disc:1/2")
@@ -271,6 +309,19 @@ class TestStructuredOutput:
         assert out1 == out2
         info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+    def test_timing_adds_only_the_elapsed_seconds(self, capsys):
+        argv = ("solve", "--game", "builtin:two-branch", "--seq", "geom:2",
+                "--format", "structured")
+        _, plain, _ = run(capsys, *argv)
+        code, timed, _ = run(capsys, *argv, "--timing")
+        assert code == 0
+        doc, timed_doc = json.loads(plain), json.loads(timed)
+        assert "elapsed_seconds" not in doc
+        assert list(timed_doc) == list(doc) + ["elapsed_seconds"]
+        elapsed = timed_doc.pop("elapsed_seconds")
+        assert isinstance(elapsed, float) and elapsed >= 0
+        assert timed_doc == doc
 
     def test_check_memoryless_structured(self, capsys):
         code, out, _ = run(capsys, "check-memoryless", "--game",

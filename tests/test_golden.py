@@ -24,6 +24,9 @@ ROWS = {
     "verify-paper": (["verify-paper"], 0),
     "find-witness-blocks-1-1_2-mu-1_8": (
         ["find-witness", "--seq", "blocks:1,1/2;mu=1/8"], 1),
+    # No gadget refutes this block sequence; the monotonicity route does.
+    "find-witness-blocks-2-1-mu-1": (
+        ["find-witness", "--seq", "blocks:2,1;mu=1"], 1),
     "monotone-blocks-2-1-mu-1": (
         ["monotone", "--seq", "blocks:2,1;mu=1"], 1),
     "monotone-blocks-2-1-mu-1-alphabet-m2-2": (

@@ -305,6 +305,21 @@ class TestCheckMemoryless:
                                    mem_bound=2)
         assert verdict.kind is VerdictKind.NO_WITNESS_UP_TO_BOUND
 
+    def test_no_memoryless_saddle_is_a_witness(self):
+        # Under this block sequence the memoryless values differ, so some
+        # player needs memory; under mean and disc:1/2 they meet, as
+        # positional determinacy says.
+        g = random_game(641, max_states=3, max_out_degree=2)
+        verdict = check_memoryless(g, parse_sequence("blocks:2,1;mu=1"))
+        assert verdict.kind is VerdictKind.WITNESS_FOUND
+        w = verdict.witness
+        assert (w.player, w.lasso, w.opponent) == (None, None, None)
+        assert (w.deviating_payoff, w.memoryless_payoff) == (F(5, 3), F(4, 3))
+        assert w.description == ("memoryless maximin 4/3 differs from "
+                                 "minimax 5/3; some player needs memory")
+        for spec in ("mean", "disc:1/2"):
+            assert solve_enumerative(g, parse_sequence(spec)).saddle
+
     def test_mem_bound_zero_reports_saddle_only(self):
         verdict = check_memoryless(two_branch_gadget(), geometric(2),
                                    mem_bound=0)
@@ -379,14 +394,15 @@ class TestCheckMemoryless:
         assert verdict.witness.player == 2
 
 
-def _reference_scan(g, options, deviator, seq, mode, max_len, spend, cache):
+def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
     """Every walk from the start up to ``max_len`` edges, each closed lasso
     evaluated exactly: the reference that both deviation searches match.
 
     Takes the arguments of solver._dp_scan and solver._walk_scan, so it can
     stand in for either, and charges each candidate its cycle length.  A
     lasso beats the value v when its lasso of gains does: that payoff is
-    unit * (phi - v) with unit > 0, so it beats 0 where phi beats v.
+    unit * (phi - v) with unit > 0 (unit 1 for the Fraction gains of
+    _reference_options), so it beats 0 where phi beats v.
     """
     best = None
     states, rewards, gains, trail = [g.start], [], [], []
@@ -473,10 +489,30 @@ def _options(g, deviator, opponent, threshold):
                                    solver._edge_gains(g, threshold))
 
 
+def _candidates(g, deviator, opponent):
+    """Per state, the edges a play of the deviator may take, read off the
+    game and the opponent's strategy: every out-edge of the deviator's
+    states, the opponent's choice elsewhere."""
+    return {q: (g.out_edges(q) if g.owner(q) == deviator
+                else (opponent.choice[q],))
+            for q in g.states}
+
+
+def _reference_options(g, deviator, opponent, threshold):
+    """_options built without the solver: each candidate edge paired with
+    its exact gain weight - threshold."""
+    return {q: tuple((e, e.weight - threshold) for e in edges)
+            for q, edges in _candidates(g, deviator, opponent).items()}
+
+
 def _scan(scan, g, seq, deviator, opponent, threshold, mode=LIMINF,
           mem_bound=2):
-    return scan(g, _options(g, deviator, opponent, threshold), deviator, seq,
-                mode, mem_bound * len(g.states), lambda amount: None, {})
+    # The reference reads candidates of its own, so a fault in the
+    # engines' arena cannot reach both sides of a comparison.
+    options = (_reference_options if scan is _reference_scan
+               else _options)(g, deviator, opponent, threshold)
+    return scan(g, options, deviator, seq, mode, mem_bound * len(g.states),
+                lambda amount: None)
 
 
 def _record_dp_spend(monkeypatch) -> list:
@@ -486,13 +522,13 @@ def _record_dp_spend(monkeypatch) -> list:
     scan = solver._dp_scan
 
     def recording(*args):
-        *head, spend, cache = args
+        *head, spend = args
 
         def counting(amount):
             spent.append(amount)
             spend(amount)
 
-        return scan(*head, counting, cache)
+        return scan(*head, counting)
 
     monkeypatch.setattr(solver, "_dp_scan", recording)
     return spent
@@ -551,7 +587,7 @@ class TestDeviationSearchOracle:
         spent = []
         options = _options(g, 1, next(enumerate_memoryless(g, 2)), value)
         assert solver._dp_scan(g, options, 1, seq, LIMINF, 2 * len(g.states),
-                               spent.append, {}) is None
+                               spent.append) is None
         assert sum(spent) <= 44_236
 
     @pytest.mark.parametrize("k, spec, bound", [
@@ -606,17 +642,19 @@ class TestDeviationSearchOracle:
                         for g in games]
 
 
-def _positional_product_oracle(g, options, deviator, seq, value):
+def _positional_product_oracle(g, opponent, deviator, seq, value):
     """Whether the play of some positional strategy on the product of the
     states with the sequence positions (0 .. m-1, then m .. m+p-1 wrapping
-    to m) beats ``value``: every simple product path from (start, 0) and
-    each move that closes it, the lasso evaluated exactly."""
+    to m) beats ``value`` against ``opponent``: every simple product path
+    from (start, 0) and each move that closes it, the lasso evaluated
+    exactly."""
     m, size = seq.prefix_len, seq.prefix_len + seq.period
+    options = _candidates(g, deviator, opponent)
     path, rewards = {(g.start, 0): 0}, []
     frames = [((g.start, 0), iter(options[g.start]))]
     while frames:
         here, edges = frames[-1]
-        edge, _ = next(edges, (None, None))
+        edge = next(edges, None)
         if edge is None:
             frames.pop()
             del path[here]
@@ -638,11 +676,12 @@ def _positional_product_oracle(g, options, deviator, seq, value):
 
 
 def _best_response_scans(seq, games):
-    """(g, options, deviator, threshold) of every _oracle_scans case."""
+    """(g, options, deviator, opponent, threshold) of every _oracle_scans
+    case."""
     for g in games:
         for deviator, opponent, threshold in _oracle_scans(g, seq):
             yield (g, _options(g, deviator, opponent, threshold), deviator,
-                   threshold)
+                   opponent, threshold)
 
 
 class TestBestResponse:
@@ -653,11 +692,11 @@ class TestBestResponse:
                  for seed in range(10)
                  for states, degree in ((3, 2), (4, 3), (5, 2), (5, 3))]
         answers = []
-        for g, options, deviator, threshold in _best_response_scans(seq,
-                                                                    games):
+        for g, options, deviator, opponent, threshold in (
+                _best_response_scans(seq, games)):
             found = solver._best_response(g, options, deviator, seq,
                                           lambda amount: None)
-            assert found == _positional_product_oracle(g, options, deviator,
+            assert found == _positional_product_oracle(g, opponent, deviator,
                                                        seq, threshold)
             answers.append(found)
         assert True in answers and False in answers
@@ -670,12 +709,11 @@ class TestBestResponse:
         games = [random_game(seed, max_states=states, max_out_degree=degree)
                  for seed in ORACLE_SEEDS
                  for states, degree in ((5, 2), (3, 3))]
-        for g, options, deviator, threshold in _best_response_scans(seq,
-                                                                    games):
+        for g, options, deviator, _, _ in _best_response_scans(seq, games):
             bound = seq.period + -(-seq.prefix_len // len(g.states))
             word = solver._dp_scan(g, options, deviator, seq, LIMINF,
                                    bound * len(g.states),
-                                   lambda amount: None, {})
+                                   lambda amount: None)
             assert solver._best_response(
                 g, options, deviator, seq,
                 lambda amount: None) == (word is not None)
