@@ -1,58 +1,37 @@
 """Exact game solving and memoryless-optimality checking.
 
 ``solve_enumerative`` builds the full payoff table over memoryless
-profiles and reads off maximin/minimax exactly.  It fills the table from
-the play tree: one depth-first walk from the start meets each distinct
-memoryless play once, evaluates it once on the game's weights scaled to
-integers, and writes its id into every profile that plays it, with no
-per-profile replay.  The distinct values are ranked once, equal values
-sharing a rank, and the row minima and column maxima are taken over the
-integer ranks; the table holds each play's exact value.
-``check_memoryless`` picks the value-attaining replies from the same
-ranks and searches for finite-memory deviations: against each opponent
-best response it looks at the deviator's ultimately periodic plays with
-prefix+cycle length up to max_len = |Q| * mem_bound (the configuration
-bound of a mem_bound-state strategy), ordered by cycle length, then
-prefix length, then edge order.  Any play strictly beating the
-deviator's memoryless guarantee against every candidate-optimal opponent
-refutes memoryless optimality.
+profiles from the play tree and reads off maximin/minimax exactly.
+``check_memoryless`` picks the value-attaining replies and searches for
+finite-memory deviations: against each opponent best response it looks
+at the deviator's ultimately periodic plays with prefix+cycle length up
+to max_len = |Q| * mem_bound (the configuration bound of a
+mem_bound-state strategy), ordered by cycle length, then prefix length,
+then edge order.  Any play strictly beating the deviator's memoryless
+guarantee against every candidate-optimal opponent refutes memoryless
+optimality.
 
-The search takes one of two paths, chosen by the sequence class:
+One scan, ``_dp_scan``, serves every class.  Per cycle length and cut
+it asks a cycle oracle which states start a beating cycle for the cut's
+class, scores the prefixes by a best-walk DP, and rebuilds the first
+witness greedily.  Under ratio <= 1 the payoff is linear-fractional in
+the rewards, so "beats v" is the sign of a linear form and the oracle is
+a closed-walk DP; one budget unit is one DP cell.  Under a growing ratio
+the payoff is the extreme phase limit of the cycle, which ignores the
+prefix but for the cycle's phase offset, fixed by the cut's class: the
+prefix weighs 0, and the oracle ``_phase_cycles`` enumerates closed
+walks, each decided by the sign of the payoff module's integer
+per-phase kernel fed the cycle's gains U - V.
 
-* Convergent (ratio < 1) and ratio-1 sequences: the payoff of a lasso is
-  linear-fractional in its rewards, so "beats v" is the sign of a linear
-  form, the numerator of the payoff module's closed form.  ``_dp_scan``
-  decides it by integer best-walk and closed-walk DPs and rebuilds the
-  first witness in the order above greedily; its docstring gives the
-  weights and the cost.  One budget unit is one DP cell filled.
-* Growing sequences (ratio a/b > 1, any block length): a lasso's payoff
-  is the least (liminf) or greatest (limsup) of its phase limits.  Under
-  liminf the maximizer improves only if every phase limit rises above v,
-  and under limsup the minimizer only if every phase falls below v: these
-  conjunctions do not split into per-state optima.  The other two sides
-  need one phase only, but take the same path, so every walk is
-  enumerated.  "Beats v" is the sign of the extreme phase of the payoff
-  module's integer per-phase kernel, fed the cycle's gains U - V.  The
-  kernel's denominators depend only on the span, so their signs are
-  found once per span, and the numerators once per (cycle, phase
-  offset); no candidate is evaluated exactly.  One budget unit is one
-  cycle symbol of a candidate that could still precede the best one
-  found.
-
-Before the DP, ``_best_response`` solves the deviator's one-player game
-exactly on a graph of the states whose edges are laps: the best score
-of the p block positions from one state to another.  The objective is a
-mean payoff under ratio 1 and a discounted sum under ratio < 1, both
-with positional optima.  So it decides whether a play of any memory
-beats the value, and the DP runs only where one does.  Both read their
-moves from ``_signed_steps``, in which beating the value is a positive
-score.  A positional best response is the m prefix moves and at most
-|Q| laps, a lasso of at most m + |Q|*p edges, so from mem_bound >= p +
-ceil(m/|Q|) on the DP misses none: a no-witness there means that, for
-each player, some optimal opponent is beaten by no strategy of any
-memory.  Under a growing ratio an empty search is a bounded no-witness
-only.  Either engine returns only the lasso; ``check_memoryless``
-confirms it by one exact evaluation.
+Under ratio <= 1 the scan runs only where ``_best_response``, an exact
+solve of the deviator's one-player game with positional optima, finds
+that a play of any memory beats the value.  Its play is a lasso of at
+most m + |Q|*p edges, so from mem_bound >= p + ceil(m/|Q|) on the scan
+misses none: a no-witness there means that, for each player, some
+optimal opponent is beaten by no strategy of any memory.  Under a
+growing ratio an empty search is a bounded no-witness only.  The scan
+returns only the lasso; ``check_memoryless`` confirms it by one exact
+evaluation.
 """
 
 from __future__ import annotations
@@ -237,6 +216,20 @@ def _int_moves(g: GameGraph) -> tuple[dict, int]:
     return moves, scale
 
 
+def _integer_iteration(g: GameGraph, steps: int, lift: int, a: int,
+                       b: int) -> tuple[dict, int]:
+    """u and the unit of the weights W after ``steps`` rounds of u(q) <-
+    opt of lift * W + a * u(dst) from u = 0, lift times b each round."""
+    moves, scale = _int_moves(g)
+    u = dict.fromkeys(g.states, 0)
+    for _ in range(steps):
+        u = {q: (max if g.owner(q) == 1 else min)(
+                 lift * w + a * u[dst] for w, dst in moves[q])
+             for q in g.states}
+        lift *= b
+    return u, scale
+
+
 def value_iter_disc(g: GameGraph, lam, iterations: int) -> ValueIteration:
     """Fixed-point iteration for the normalized discounted objective.
 
@@ -253,14 +246,7 @@ def value_iter_disc(g: GameGraph, lam, iterations: int) -> ValueIteration:
     if iterations < 1:
         raise ValueError("iterations must be positive")
     a, b = lam.numerator, lam.denominator
-    moves, scale = _int_moves(g)
-    u = dict.fromkeys(g.states, 0)
-    lift = b - a
-    for _ in range(iterations):
-        u = {q: (max if g.owner(q) == 1 else min)(
-                 lift * w + a * u[dst] for w, dst in moves[q])
-             for q in g.states}
-        lift *= b
+    u, scale = _integer_iteration(g, iterations, b - a, a, b)
     unit = scale * b ** iterations
     bound = lam ** iterations * g.max_abs_weight()
     return ValueIteration(values={q: Fraction(u[q], unit) for q in g.states},
@@ -276,12 +262,7 @@ def value_iter_mean(g: GameGraph, steps: int) -> ValueIteration:
     """
     if steps < 1:
         raise ValueError("steps must be positive")
-    moves, scale = _int_moves(g)
-    u = dict.fromkeys(g.states, 0)
-    for _ in range(steps):
-        u = {q: (max if g.owner(q) == 1 else min)(
-                 w + u[dst] for w, dst in moves[q])
-             for q in g.states}
+    u, scale = _integer_iteration(g, steps, 1, 1, 1)
     estimates = {q: Fraction(u[q], scale * steps) for q in g.states}
     bound = Fraction(2 * len(g.states)) * g.max_abs_weight() / steps
     return ValueIteration(values=estimates, error_bound=bound, steps=steps)
@@ -358,97 +339,6 @@ def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
     return {q: tuple((idx, e.dst, sign * gain)
                      for idx, (e, gain) in enumerate(pairs))
             for q, pairs in options.items()}
-
-
-def _walk_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-               mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
-    """Enumerate every walk from the start up to ``max_len`` edges.
-
-    Only the growing class comes here.  Each visit of a state already on
-    the walk closes a candidate lasso x u^w.  Its payoff is the extreme
-    phase limit of the tail, which ignores x except for the offset
-    (cut - m) mod gcd(p, |u|) of the cycle against the block: the set of
-    phase limits is the same for every cut with that offset.  The phase
-    limits minus v are the ratios W_r / V_r of payoff._tail_limits fed
-    the cycle's integer gains U - V, read off ``options``.  V_r depends
-    only on the span, so its sign is found once per span, and W_r once
-    per (cycle, offset): "beats v" is the extreme of the signs of
-    W_r * V_r, memoized per (cycle, offset).
-    A candidate that cannot precede the best one found so far is skipped;
-    any other costs its cycle length in budget units.  Returns the
-    winning lasso, which check_memoryless confirms exactly.  The walk is
-    depth-first over an explicit stack, so its depth is not bounded by
-    the recursion limit; a walk at ``max_len`` edges gets an empty frame.
-    """
-    m, p = seq.prefix_len, seq.period
-    a, b = seq.ratio.numerator, seq.ratio.denominator
-    extreme = min if mode == LIMINF else max
-    wanted = 1 if deviator == 1 else -1
-    # Per span: the window c_m .. c_(m+span-1), rho = num/den and the
-    # sign of each phase's V_r, none of which depends on the cycle.
-    tails: dict[int, tuple] = {}
-    cache: dict = {}
-
-    def sign(cycle: tuple[int, ...], phase: int) -> int:
-        # Tail positions m, m+1, ... against the cycle entered at -phase.
-        k = len(cycle)
-        span = math.lcm(p, k)
-        if span not in tails:
-            window = _int_coeffs(seq, m + span)[0][m:]
-            num, den = a ** (span // p), b ** (span // p)
-            tails[span] = (window, num, den, [
-                (v > 0) - (v < 0) for v in _phase_sums(window, num, den)])
-        window, num, den, v_signs = tails[span]
-        symbols = (cycle[k - phase:] + cycle[:k - phase]) * (span // k)
-        terms = list(map(operator.mul, window, symbols))
-        return extreme([((w > 0) - (w < 0)) * v for w, v in zip(
-            _phase_sums(terms, num, den), v_signs)])
-
-    best: Optional[tuple[tuple, LassoWord]] = None
-    states = [g.start]
-    # Each state's positions on the walk, ascending: the cuts it closes.
-    visits: dict[str, list[int]] = {q: [] for q in g.states}
-    visits[g.start].append(0)
-    rewards: list[Fraction] = []
-    gains: list[int] = []
-    trail: list[int] = []
-    frames = [iter(enumerate(options[g.start]))]
-    while frames:
-        step = next(frames[-1], None)
-        if step is None:
-            frames.pop()
-            if trail:
-                visits[states.pop()].pop()
-                rewards.pop()
-                gains.pop()
-                trail.pop()
-            continue
-        idx, (edge, gain) = step
-        gains.append(gain)
-        here = edge.dst
-        states.append(here)
-        rewards.append(edge.weight)
-        trail.append(idx)
-        depth = len(rewards)
-        cuts = visits[here]
-        for cut in cuts:
-            if best is not None and (depth - cut, cut) > best[0][:2]:
-                continue
-            spend(depth - cut)
-            cycle = tuple(gains[cut:])
-            memo = (cycle, (cut - m) % math.gcd(p, len(cycle)))
-            found = cache.get(memo)
-            if found is None:
-                found = cache[memo] = sign(*memo)
-            if found == wanted:
-                key = (depth - cut, cut, tuple(trail))
-                if best is None or key < best[0]:
-                    best = (key, LassoWord(tuple(rewards[:cut]),
-                                           tuple(rewards[cut:])))
-        cuts.append(depth)
-        frames.append(iter(enumerate(options[here])) if depth < max_len
-                      else iter(()))
-    return None if best is None else best[1]
 
 
 def _slot_weights(coeffs, seq: CoeffSeq, first: int,
@@ -547,51 +437,154 @@ def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
     return tuple(rewards), here, score
 
 
-def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-             mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
-    """Best-walk DP for the convergent and ratio-1 classes.
+def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
+                  coeffs, max_len: int,
+                  spend: Callable) -> tuple[Callable, list[int]]:
+    """The cycle oracle of a growing class, and the lengths up to
+    ``max_len`` that some closed walk has: ``cycle(start, length, offset)``
+    is the rewards of the first closed walk of ``length`` steps at
+    ``start``, by edge index, that beats v at the phase offset ``offset``
+    against the block, or None; answers are kept, misses too.
 
-    The payoff of x u^w is linear-fractional in the rewards.  Its
-    numerator, as _slot_weights reads it off the payoff module's closed
-    form, weighs position i < cut by (den - num) c_i, which is 0 under
-    ratio 1, and cycle slot j by beta_j: (den - num) c_i over the slot's
-    positions in [cut, H) plus den c_i over those in [H, H + span).  The
-    denominator is the same form with every reward 1, of fixed sign.  So
-    beating the value v is the sign of
-    sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), in the signed
-    gains of _signed_steps, which splits into a best prefix walk to each
-    state q and a best closed walk at q.
-    For cut >= m the weights of cut and of its class m + (cut-m) mod p
-    differ by the factor ratio**laps, so the closed walks of a class
-    serve all its cuts.  A cut below m is its own class, except under
-    ratio 1, where its slot weights equal its class's.
-
-    Cycle lengths share the closed-walk DP where their slot weights are
-    the first L terms of one stream times a positive factor: under ratio
-    1, the slot weights of a cycle of length gcd(p, L), repeated, with
-    factor 1; and where p divides L (span = L) at a class at or past m,
-    c_first, c_first+1, ... with factor den = b**(L/p).  One forward DP
-    per (class, stream, start) then advances one step per length and
-    reads each length's best closed walk off the start's own score,
-    keeping only its current layer and dropping a start once no cut left
-    needs it.  Each such stream is walked once, max_len steps, and there
-    are tau(p) of them per class under ratio 1 (tau(p) the number of
-    divisors of p) and one otherwise, so these lengths cost
-    O(p * tau(p) * |Q| * |E| * max_len) cells in all.  Every other length,
-    p not dividing L under ratio != 1 or any length at a cut below m,
-    walks a stream of its own, its slot weights, L steps, for
-    O((m+p) * |Q| * |E| * max_len**2) cells at worst.  Step k fills the
-    cells of step k of a DP run afresh for the length, so the scores,
-    and the witness rebuilt from them, are the same; the steps before k
-    are not run again.  Every weight comes
-    from one table of c_0 .. c_(m + p*(max_len+1) - 1), which covers the
-    window of every class.  Scores are integers; one budget unit per DP
-    cell.  Scanning cycle length, then cut, then rebuilding the walk
-    greedily by edge index gives the same first witness as enumerating
-    every walk; it is returned for check_memoryless to confirm exactly.
+    A lasso's payoff is the extreme phase limit W_r / V_r of
+    payoff._tail_limits, fed the cycle's integer gains U - V from
+    ``options``.  V_r depends only on the span, so its sign is found once
+    per span, and "beats v" once per (cycle, offset).  The walks are
+    enumerated depth first over an explicit stack, pruned by a table of
+    the states each state reaches in exactly k steps.  A cycle rotated by
+    r has the same phase limits at the offset moved by r, so a walk is cut
+    where it meets a start cleared at the offset of its rotation there.
+    Budget units: |Q| per step of the table, one per edge tried or frame
+    left, a candidate's length and a new sign's span.
     """
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
+    extreme = min if mode == LIMINF else max
+    wanted = 1 if deviator == 1 else -1
+    # reach[k][q]: the states q reaches in exactly k steps, as a bitmask
+    # over the states.
+    reach = [{q: 1 << i for i, q in enumerate(options)}]
+    for _ in range(max_len):
+        last, layer = reach[-1], dict.fromkeys(options, 0)
+        for q, moves in options.items():
+            for edge, _ in moves:
+                layer[q] |= last[edge.dst]
+        reach.append(layer)
+        spend(len(layer))
+    # Per span: the window c_m .. c_(m+span-1), rho = num/den and the
+    # sign of each phase's V_r, none of which depends on the cycle.
+    tails: dict[int, tuple] = {}
+    signs: dict = {}
+    found: dict = {}
+    # cleared[length, offset]: the starts with no beating closed walk.
+    cleared: dict = {}
+
+    def sign(cycle: tuple[int, ...], phase: int) -> int:
+        # Tail positions m, m+1, ... against the cycle entered at -phase.
+        k = len(cycle)
+        span = math.lcm(p, k)
+        spend(span)
+        if span not in tails:
+            window = coeffs[m:m + span]
+            num, den = a ** (span // p), b ** (span // p)
+            tails[span] = (window, num, den, [
+                (v > 0) - (v < 0) for v in _phase_sums(window, num, den)])
+        window, num, den, v_signs = tails[span]
+        symbols = (cycle[k - phase:] + cycle[:k - phase]) * (span // k)
+        terms = list(map(operator.mul, window, symbols))
+        return extreme([((w > 0) - (w < 0)) * v for w, v in zip(
+            _phase_sums(terms, num, den), v_signs)])
+
+    def cycle(start: str, length: int,
+              offset: int) -> Optional[tuple[Fraction, ...]]:
+        key = (start, length, offset)
+        if key in found:
+            return found[key]
+        found[key] = None
+        target = reach[0][start]
+        if not reach[length][start] & target:
+            return None
+        clear = [cleared.get((length, o), ())
+                 for o in range(math.gcd(p, length))]
+        # moves: the edges tried and the frames left since the last charge.
+        edges, gains, moves, frames = [], [], 0, [iter(options[start])]
+        while frames:
+            moves += 1
+            step = next(frames[-1], None)
+            if step is None:
+                frames.pop()
+                del edges[-1:], gains[-1:]
+                continue
+            edge, gain = step
+            left = length - len(frames)
+            if (edge.dst in clear[(offset + len(frames)) % len(clear)]
+                    or not reach[left][edge.dst] & target):
+                continue
+            edges.append(edge)
+            gains.append(gain)
+            if left:
+                frames.append(iter(options[edge.dst]))
+                continue
+            spend(moves + length)
+            moves = 0
+            memo = (tuple(gains), offset)
+            if memo not in signs:
+                signs[memo] = sign(*memo)
+            if signs[memo] == wanted:
+                found[key] = tuple(e.weight for e in edges)
+                break
+            del edges[-1], gains[-1]
+        spend(moves)
+        if found[key] is None:
+            cleared.setdefault((length, offset), set()).add(start)
+        return found[key]
+
+    return cycle, [length for length in range(1, max_len + 1)
+                   if any(reach[length][q] & reach[0][q] for q in options)]
+
+
+def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+             mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
+    """The deviation scan of every class: the first lasso x u^w of at most
+    ``max_len`` edges that beats the value v, by cycle length, then cut
+    |x|, then edge-index trail.
+
+    For each length and cut, a cycle oracle scores the starts of a cycle
+    of that length for the cut's class, a best-walk DP over (position,
+    state) the prefixes of cut steps, and a start whose two scores, each
+    times a positive scale, sum past 0 makes a witness: _first_walk
+    rebuilds the least prefix to such a start, the oracle the least cycle
+    there.  Every weight comes from one table of c_0 ..
+    c_(m + p*(max_len+1) - 1); one budget unit is one DP cell.
+
+    Ratio <= 1: the payoff's numerator, as _slot_weights reads it off the
+    closed form, weighs position i < cut by (den - num) c_i, 0 under
+    ratio 1, and cycle slot j by beta_j; its denominator has a fixed
+    sign.  So beating v is the sign of sum (den - num) c_i (x_i - v) +
+    sum beta_j (u_j - v) in the signed gains of _signed_steps, and the
+    oracle is a best closed-walk DP whose cycle _first_walk rebuilds.
+    The weights of cut >= m are those of its class m + (cut-m) mod p
+    times ratio**laps; a cut below m is its own class but under ratio 1.
+    Lengths whose slot weights are the first L terms of one stream times
+    a positive factor share one forward DP per (class, stream, start),
+    advanced a step per length (see closed_walks), for O(p * tau(p) * |Q|
+    * |E| * max_len) cells in all, tau(p) the divisors of p; any other
+    length walks its own, O((m+p) * |Q| * |E| * max_len**2) at worst.
+
+    Ratio > 1: the payoff ignores x but for the cycle's phase offset
+    (cut - m) mod gcd(p, L), which the class m + (cut - m) mod p fixes.
+    So the prefix weighs 0, a start scores 1 where _phase_cycles finds a
+    beating closed walk, and the least prefix to a beating start, then
+    the least beating cycle there, is the least trail.  Only the first
+    cut of each (class, reached states) pair is scanned, as later ones
+    find the same, and only the lengths of some closed walk.
+
+    The witness is the first that enumerating every walk finds; it is
+    returned for check_memoryless to confirm exactly.
+    """
+    m, p = seq.prefix_len, seq.period
+    a, b = seq.ratio.numerator, seq.ratio.denominator
+    growing = a > b
     coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
     steps = _signed_steps(options, deviator, seq)
     back: dict = {q: [] for q in steps}
@@ -601,24 +594,34 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
 
     # classes[cut] = (first position of its class, ratio**laps as num, den);
     # under ratio 1 a cut below m weighs its prefix and head by 0, so it
-    # joins its class at the factor 1 (laps < 0 there).
+    # joins its class at the factor 1 (laps < 0 there), and under a
+    # growing ratio only its class's phase offset counts.
     classes = []
     for cut in range(max_len):
         laps, residue = divmod(cut - m, p)
         if cut >= m:
             classes.append((m + residue, a ** laps, b ** laps))
         else:
-            classes.append((m + residue, 1, 1) if a == b else (cut, 1, 1))
+            classes.append((m + residue, 1, 1) if a >= b else (cut, 1, 1))
 
     reach = [{g.start: 0}]
     for k in range(max_len - 1):
         reach.append(_relax(reach[-1], steps, coeffs[k], spend))
-    # joined[cut]: the states reached at the cuts of cut's class up to
-    # cut, in order of first reach.
-    joined, seen = [], {}
-    for cut, (first, _, _) in enumerate(classes):
-        seen[first] = {**seen.get(first, {}), **reach[cut]}
-        joined.append(seen[first])
+    lengths, cuts = range(1, max_len + 1), range(max_len)
+    if growing:
+        firsts: dict = {}
+        for cut in cuts:
+            firsts.setdefault((classes[cut][0], frozenset(reach[cut])), cut)
+        cuts = list(firsts.values())
+        cycle, lengths = _phase_cycles(options, deviator, seq, mode, coeffs,
+                                       max_len, spend)
+    else:
+        # joined[cut]: the states reached at the cuts of cut's class up to
+        # cut, in order of first reach.
+        joined, seen = [], {}
+        for cut, (first, _, _) in enumerate(classes):
+            seen[first] = {**seen.get(first, {}), **reach[cut]}
+            joined.append(seen[first])
 
     cache: dict = {}
 
@@ -654,21 +657,28 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         best = walks[key].advance(steps, length, starts, spend)
         return {q: score * factor for q, score in best.items()}
 
-    for length in range(1, max_len + 1):
+    for length in lengths:
         last_cut = max_len - length
-        laps = length // math.gcd(p, length)
-        shrink = b ** laps - a ** laps
-        # A class's closed walks start where its cuts up to last_cut end:
-        # joined at the last of them.
-        tops = {classes[cut][0]: cut for cut in range(last_cut + 1)}
+        d = math.gcd(p, length)
+        shrink = b ** (length // d) - a ** (length // d)
         closed: dict = {}
-        for cut in range(last_cut + 1):
+        for cut in cuts:
+            if cut > last_cut:
+                break
             first, num, den = classes[cut]
-            if first not in closed:
-                closed[first] = closed_walks(first, length,
-                                             joined[tops[first]])
-            best = closed[first]
-            head_scale, loop_scale = den * shrink, num
+            if growing:
+                offset = (first - m) % d
+                best = {q: 1 for q in reach[cut] if cycle(q, length, offset)}
+                head_scale, loop_scale = 0, 1
+            else:
+                if first not in closed:
+                    # The closed walks start where the class's cuts up to
+                    # last_cut end: joined at the last of them.
+                    top = (first if first < m
+                           else last_cut - (last_cut - first) % p)
+                    closed[first] = closed_walks(first, length, joined[top])
+                best = closed[first]
+                head_scale, loop_scale = den * shrink, num
             for q, score in reach[cut].items():
                 end = best.get(q)
                 if end is not None and score * head_scale + end * loop_scale > 0:
@@ -679,6 +689,8 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             head, q, score = _first_walk(
                 options, steps, back, g.start,
                 [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
+            if growing:
+                return LassoWord(head, cycle(q, length, offset))
             betas = slot_weights(first, length)
             loop, _, _ = _first_walk(
                 options, steps, back, q, [w * loop_scale for w in betas],
@@ -793,24 +805,18 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     """Decide whether bounded deviations refute memoryless optimality.
 
     Step 1: if the memoryless table has no saddle, that is already a
-    witness.  Step 2: for each player, search deviating plays against
-    every opponent strategy that attains the saddle value; memoryless
-    optimality of the pair is refuted only if every such opponent can be
-    beaten.  Under the convergent and ratio-1 classes _best_response
-    first decides whether any play, of any memory, beats the value
-    against that opponent; only then does the scan look for the first
-    such play within the bound.  Step 3: otherwise report no witness up
-    to the bound.  For those classes a best response is a lasso of at
-    most m + |Q|*p edges, so from mem_bound >= p + ceil(m/|Q|) on the
-    scan misses none: a no-witness there means that, for each player,
-    some optimal opponent is beaten by no strategy of any memory, and a
-    scan that finds nothing after a best response that beats the value
-    is an internal error.  Under a growing
-    ratio the verdict is bounded only.  The table and the search share
-    ``budget``: the table costs one unit per memoryless profile, the
-    best response |Q|*(m+p) units, and _dp_scan's coefficient
-    table one unit per coefficient, each charged before it is built.
-    A negative ``mem_bound`` or ``budget`` is a ValueError.
+    witness.  Step 2: for each player, search deviating plays against every
+    opponent strategy that attains the saddle value; memoryless optimality
+    of the pair is refuted only if every such opponent can be beaten.
+    _dp_scan finds the first such play within the bound, under ratio <= 1
+    only after _best_response finds that one exists.  Step 3: otherwise
+    report no witness up to the bound, which from mem_bound >= p +
+    ceil(m/|Q|) on is a proof under ratio <= 1 (see the module docstring);
+    an empty scan there after a beating best response is an internal error.
+    The table and the search share ``budget``: the table costs one unit per
+    memoryless profile, the best response |Q|*(m+p) units, and the scan's
+    coefficient table one unit per coefficient, each charged before it is
+    built.  A negative ``mem_bound`` or ``budget`` is a ValueError.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
@@ -840,10 +846,9 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         if left < 0:
             raise BudgetExceededError("deviation search exceeded its budget")
 
-    growing = analyze(seq).classification is Classification.DIVERGENT_UNBOUNDED
-    scan = _walk_scan if growing else _dp_scan
-    # _dp_scan's coefficient table, charged once, before the first scan.
-    table = 0 if growing else seq.prefix_len + seq.period * (max_len + 1)
+    growing = seq.ratio > 1
+    # The scan's coefficient table, charged once, before the first scan.
+    table = seq.prefix_len + seq.period * (max_len + 1)
     complete = not growing and (
         mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
     gains = _edge_gains(g, value)
@@ -869,7 +874,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                 break
             spend(table)
             table = 0
-            word = scan(g, options, deviator, seq, mode, max_len, spend)
+            word = _dp_scan(g, options, deviator, seq, mode, max_len, spend)
             if word is None:
                 if complete:
                     raise RuntimeError(
@@ -1064,13 +1069,7 @@ def _detour_triples(lam: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
     for lo, hi in zip(lows, highs):
         triples.append(from_below(lo))
         triples.append(from_above(hi))
-    seen = set()
-    unique = []
-    for t in triples:
-        if t not in seen:
-            seen.add(t)
-            unique.append(t)
-    return unique
+    return list(dict.fromkeys(triples))
 
 
 def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,

@@ -77,6 +77,11 @@ for _tag, _spec in (("mean", "mean"), ("disc-1_2", "disc:1/2"),
 ROWS["check-spike-10-blocks-1-1_2-mu-1_8-liminf"] = (
     ["check-memoryless", "--game", "builtin:spike:10",
      "--seq", "blocks:1,1/2;mu=1/8"], 0)
+# spike:5 under geom:2 with limsup decides within the default budget: the
+# scan stops at its first cycle length with a witness.
+ROWS["check-spike-5-geom-2-limsup"] = (
+    ["check-memoryless", "--game", "builtin:spike:5", "--seq", "geom:2",
+     "--mode", "limsup"], 1)
 ROWS["solve-two-branch-geom-2"] = (
     ["solve", "--game", "builtin:two-branch", "--seq", "geom:2"], 0)
 ROWS["solve-spike-4-mean"] = (

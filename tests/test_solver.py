@@ -396,10 +396,10 @@ class TestCheckMemoryless:
 
 def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
     """Every walk from the start up to ``max_len`` edges, each closed lasso
-    evaluated exactly: the reference that both deviation searches match.
+    evaluated exactly: the reference that the deviation scan matches.
 
-    Takes the arguments of solver._dp_scan and solver._walk_scan, so it can
-    stand in for either, and charges each candidate its cycle length.  A
+    Takes the arguments of solver._dp_scan, so it can stand in for it, and
+    charges each candidate its cycle length.  A
     lasso beats the value v when its lasso of gains does: that payoff is
     unit * (phi - v) with unit > 0 (unit 1 for the Fraction gains of
     _reference_options), so it beats 0 where phi beats v.
@@ -458,7 +458,7 @@ ORACLE_CLASSES = ["mean", "disc:1/2", "disc:2/3", "blocks:2,1;mu=1",
                   "blocks:1;mu=1/2;prefix=1,-2,3",
                   "blocks:1,2;mu=1;prefix=5,0,1",
                   "blocks:1,3,1,1,2;mu=1/2;prefix=2"]
-# The growing-class walk against the reference: integer and fractional
+# The growing-class scan against the reference: integer and fractional
 # ratios, a negative block, sequence prefixes (the payoff ignores them but
 # for the block phase they set) and blocks of length 2 and 3, whose offset
 # against the cycle matters.
@@ -628,7 +628,7 @@ class TestDeviationSearchOracle:
         players = []
         for g in games:
             for deviator, opponent, threshold in _oracle_scans(g, seq, mode):
-                found = _scan(solver._walk_scan, g, seq, deviator, opponent,
+                found = _scan(solver._dp_scan, g, seq, deviator, opponent,
                               threshold, mode)
                 assert found == _scan(_reference_scan, g, seq, deviator,
                                       opponent, threshold, mode)
@@ -637,9 +637,26 @@ class TestDeviationSearchOracle:
         assert players.count(1) >= 5 and players.count(2) >= 5
         walk = [check_memoryless(g, seq, mem_bound=2, mode=mode)
                 for g in games]
-        monkeypatch.setattr(solver, "_walk_scan", _reference_scan)
+        monkeypatch.setattr(solver, "_dp_scan", _reference_scan)
         assert walk == [check_memoryless(g, seq, mem_bound=2, mode=mode)
                         for g in games]
+
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    @pytest.mark.parametrize("spec", ["geom:2", "blocks:1,2;mu=2",
+                                      "blocks:2,-1,3;mu=3/2;prefix=1,2"])
+    def test_walk_matches_enumeration_past_length_ten(self, spec, mode):
+        # mem_bound 3 on 5-state games: walks of up to 15 edges, with
+        # witness cycles of up to 14 edges under limsup.  The scan stops at
+        # the first cycle length with a witness, and the blocks of period 2
+        # and 3 meet cycles at several phase offsets.
+        seq = parse_sequence(spec)
+        for seed in (25, 27, 38):
+            g = _oracle_game(seed)
+            for deviator, opponent, threshold in _oracle_scans(g, seq, mode):
+                assert (_scan(solver._dp_scan, g, seq, deviator, opponent,
+                              threshold, mode, mem_bound=3)
+                        == _scan(_reference_scan, g, seq, deviator, opponent,
+                                 threshold, mode, mem_bound=3))
 
 
 def _positional_product_oracle(g, opponent, deviator, seq, value):
@@ -745,26 +762,47 @@ class TestBestResponse:
 
 
 class TestWitnessGuard:
-    # Both engines hand their lasso to check_memoryless, which evaluates it
+    # The scan hands its lasso to check_memoryless, which evaluates it
     # exactly and refuses one that does not beat the value; verify-paper
-    # turns the refusal into failed checks instead of a crash.  _dp_scan
-    # runs only where the best response beats the value, as on the detour
-    # gadget under this block sequence (value 3).
-    @pytest.mark.parametrize("engine, spec, lasso_cycle", [
-        ("_dp_scan", "blocks:1,1/2;mu=1/8", (1,)),
-        ("_walk_scan", "geom:2", (4,))],
-        ids=["_dp_scan-blocks:1,1/2;mu=1/8", "_walk_scan-geom:2"])
-    def test_lasso_not_beating_the_value_is_refused(self, engine, spec,
-                                                    lasso_cycle, monkeypatch):
-        g = (detour_gadget(4, 1, 3) if engine == "_dp_scan"
-             else two_branch_gadget())
+    # turns the refusal into failed checks instead of a crash.  Under a
+    # non-growing class the scan runs only where the best response beats
+    # the value, as on the detour gadget under this block sequence (value
+    # 3).
+    @pytest.mark.parametrize("spec, lasso_cycle", [
+        ("blocks:1,1/2;mu=1/8", (1,)), ("geom:2", (4,))],
+        ids=["_dp_scan-blocks:1,1/2;mu=1/8", "_dp_scan-geom:2"])
+    def test_lasso_not_beating_the_value_is_refused(self, spec, lasso_cycle,
+                                                    monkeypatch):
+        g = (two_branch_gadget() if spec == "geom:2"
+             else detour_gadget(4, 1, 3))
         seq = parse_sequence(spec)
-        monkeypatch.setattr(solver, engine,
+        monkeypatch.setattr(solver, "_dp_scan",
                             lambda *args: LassoWord((), lasso_cycle))
         message = "deviation search disagrees with the exact evaluator"
         with pytest.raises(RuntimeError, match=message):
             check_memoryless(g, seq, mem_bound=2)
         assert verify._deviation(g, seq) == (f"error: {message}",) * 3
+
+
+class TestGrowingSpikes:
+    # Each deviation scan stops at the first cycle length with a witness,
+    # so these decide within the default budget.
+    @pytest.mark.parametrize("k, spec", [
+        (5, "geom:2"), (5, "geom:3/2"), (5, "blocks:1,2;mu=2"),
+        (6, "geom:2")])
+    def test_limsup_spikes_decide(self, k, spec):
+        verdict = check_memoryless(cycle_choice_gadget(k),
+                                   parse_sequence(spec), mode=LIMSUP)
+        assert verdict.kind is VerdictKind.WITNESS_FOUND
+        assert verdict.budget == 2_000_000
+
+    def test_spike_five_witness(self):
+        verdict = check_memoryless(cycle_choice_gadget(5), geometric(2),
+                                   mode=LIMSUP)
+        assert verdict.witness.description.startswith(
+            "player 1 plays cycle=1,0,0,0,0,0,1,0,0,0 against")
+        assert verdict.witness.deviating_payoff == F(544, 1023)
+        assert verdict.witness.memoryless_payoff == F(16, 31)
 
 
 class TestCycleChoiceCoincidence:
