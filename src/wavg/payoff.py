@@ -1,13 +1,13 @@
 """Weighted-average payoff evaluation on lasso words.
 
-``eval_exact`` computes the payoff exactly by one integer per-phase
-evaluator.  After the transient, a lasso word and a block-geometric
-sequence both repeat with the period lcm(p, k) of the block and the
-cycle, along which the coefficients scale by a fixed factor rho.  Each
-residue modulo that period has its own limit of the partial ratios: the
-same for every residue when rho <= 1 (convergent and ratio-1
-sequences), a sliding-window ratio per residue when rho > 1 (growth).
-The payoff is the least of them (liminf) or the greatest (limsup).
+``eval_exact`` applies one integer shape kernel, built per (sequence,
+prefix length, cycle length), to the word's rewards.  After the transient
+the word and the sequence repeat with the period lcm(p, k), along which
+the coefficients scale by a fixed factor rho, and each residue modulo it
+has its own limit of the partial ratios: one linear-fractional form for
+every residue when rho <= 1 (convergent and ratio-1 sequences), a
+sliding-window ratio per residue when rho > 1 (growth).  The payoff is
+the least of them (liminf) or the greatest (limsup).
 
 ``eval_approx`` is the independent truncation oracle: it accumulates
 exact integer partial sums up to a horizon and brackets the tail limit
@@ -126,30 +126,68 @@ def _int_coeffs(seq: CoeffSeq, count: int) -> tuple[tuple[int, ...], int]:
     return _scaled(list(itertools.islice(seq.terms(), count)))
 
 
-def _tail_limits(coeffs, symbols, head: int, num: int,
-                 den: int) -> list[tuple[int, int]]:
-    """Integer (numerator, denominator) of the partial-ratio limit along
-    each phase of a tail that repeats with the factor rho = num/den.
+class _Shape:
+    """The payoff of every lasso x u^w with |x| = ``prefix_len`` and |u| =
+    ``cycle_len``, as one integer fraction per tail phase of its rewards.
 
-    ``coeffs`` and ``symbols`` hold positions 0 .. head+span-1, where
-    c_(i+span) = rho * c_i and w_(i+span) = w_i for every i >= head.
-    With head sums N, D and window sums W, V over positions head ..
-    head+span-1, rho <= 1 gives one limit for every phase,
-    (N(1-rho) + W) / (D(1-rho) + V).  Under rho > 1 the head washes out
-    and phase r tends to W_r / V_r, the window sums from head + r:
-    W_r = W + (rho-1) P_r and V_r = V + (rho-1) Q_r, where P_r and Q_r
-    sum the first r terms c_i w_i and c_i of the window.  Each pair is
-    scaled by den.
+    Past head = max(m, |x|) the positions repeat with the period span =
+    lcm(p, |u|), along which the coefficients scale by rho = num/den.
+    With head sums N, D and window sums W, V over head .. head+span-1,
+    rho <= 1 gives every phase the limit (N(1-rho) + W) / (D(1-rho) + V),
+    whose numerator is linear in the rewards: ``weights`` gives prefix
+    position i the weight (den - num) c_i, and cycle slot j the sum of
+    (den - num) c_i over the positions i >= |x| of the head and den c_i
+    over those of the window that read it.  Under rho > 1 the head washes
+    out and phase r tends to W_r / V_r, the window sums from head + r
+    (_phase_sums).  Each pair is scaled by den.  ``coeffs``, the c_i as
+    integers over one unit, default to the first head + span.
     """
-    window = coeffs[head:]
-    terms = list(map(operator.mul, window, symbols[head:]))
-    if num <= den:
-        n = sum(map(operator.mul, coeffs[:head], symbols[:head]))
-        d = sum(coeffs[:head])
-        return [(n * (den - num) + sum(terms) * den,
-                 d * (den - num) + sum(window) * den)]
-    return list(zip(_phase_sums(terms, num, den),
-                    _phase_sums(window, num, den)))
+
+    def __init__(self, seq: CoeffSeq, prefix_len: int, cycle_len: int,
+                 coeffs=None):
+        head = max(seq.prefix_len, prefix_len)
+        span = math.lcm(seq.period, cycle_len)
+        laps = span // seq.period
+        num, den = seq.ratio.numerator ** laps, seq.ratio.denominator ** laps
+        if coeffs is None:
+            coeffs = _int_coeffs(seq, head + span)[0]
+        self.window = coeffs[head:head + span]
+        self.weights = None
+        if num <= den:
+            terms = ([(den - num) * c for c in coeffs[:head]]
+                     + [den * c for c in self.window])
+            self.weights = terms[:prefix_len] + [
+                sum(terms[j::cycle_len])
+                for j in range(prefix_len, prefix_len + cycle_len)]
+            self.dens = [sum(terms)]
+        else:
+            self.num, self.den, self.laps = num, den, span // cycle_len
+            # The window reads the cycle from rewards[start] on.
+            self.prefix_len = prefix_len
+            self.start = prefix_len + (head - prefix_len) % cycle_len
+            self.dens = _phase_sums(self.window, num, den)
+        scale = math.lcm(*self.dens)
+        self.scales = [scale // d for d in self.dens]
+
+    def numerators(self, rewards) -> list[int]:
+        """Each phase's numerator for the integer rewards, prefix then
+        cycle, of a lasso of this shape."""
+        if self.weights is not None:
+            return [sum(map(operator.mul, self.weights, rewards))]
+        symbols = (rewards[self.start:]
+                   + rewards[self.prefix_len:self.start]) * self.laps
+        return _phase_sums(list(map(operator.mul, self.window, symbols)),
+                           self.num, self.den)
+
+    def apply(self, rewards, unit: int, mode: str) -> Fraction:
+        """The payoff when the rewards are these integers over ``unit``:
+        the first least (liminf) or greatest (limsup) phase limit, compared
+        as integers over a common denominator.  It makes no checks."""
+        nums, r = self.numerators(rewards), 0
+        if len(nums) > 1:
+            keys = list(map(operator.mul, nums, self.scales))
+            r = keys.index((min if mode == LIMINF else max)(keys))
+        return Fraction(nums[r], self.dens[r] * unit)
 
 
 def _phase_sums(window, num: int, den: int) -> list[int]:
@@ -161,16 +199,8 @@ def _phase_sums(window, num: int, den: int) -> list[int]:
             for part in itertools.accumulate(window[:-1], initial=0)]
 
 
-def eval_exact(seq: CoeffSeq, word: LassoWord, mode: str = LIMINF) -> PayoffValue:
-    """Exact weighted-average payoff of a lasso word, where supported.
-
-    After the transient max(m, |x|), positions repeat with the period
-    span = lcm(p, |u|), along which the coefficients scale by rho =
-    ratio**(span/p).  The payoff is the least (liminf) or greatest
-    (limsup) of the per-phase limits from _tail_limits.  Raises
-    UnsupportedSequenceError for raw tables and wherever supports_exact
-    is false.
-    """
+def _exact_checks(seq, mode: str) -> None:
+    """eval_exact's checks: the mode, and a CoeffSeq with supports_exact."""
     _check_mode(mode)
     if isinstance(seq, RawCoeffTable):
         raise UnsupportedSequenceError(
@@ -179,29 +209,17 @@ def eval_exact(seq: CoeffSeq, word: LassoWord, mode: str = LIMINF) -> PayoffValu
         raise UnsupportedSequenceError(
             "the reciprocal partial sums have no single limit, so the payoff "
             "is not a finite rational for every word; use eval_approx")
+
+
+def eval_exact(seq: CoeffSeq, word: LassoWord, mode: str = LIMINF) -> PayoffValue:
+    """Exact weighted-average payoff of a lasso word, where supported: the
+    _Shape of its lengths applied to its rewards scaled to integers.
+    Raises ValueError for a bad mode, and UnsupportedSequenceError for raw
+    tables and wherever supports_exact is false."""
+    _exact_checks(seq, mode)
     ints, unit = _scaled(word.prefix + word.cycle)
-    return PayoffValue(mode=mode, exact=_extreme_limit(
-        seq, ints[:word.prefix_len], ints[word.prefix_len:], unit, mode))
-
-
-def _extreme_limit(seq: CoeffSeq, prefix: tuple[int, ...],
-                   cycle: tuple[int, ...], unit: int, mode: str) -> Fraction:
-    """The payoff of the lasso word prefix cycle^w whose rewards are the
-    given integers over ``unit``: the least (liminf) or greatest (limsup)
-    phase limit from _tail_limits, picked by comparing the limits as
-    integers over their common denominator.  It does no checks;
-    eval_exact makes them."""
-    head = max(seq.prefix_len, len(prefix))
-    span = math.lcm(seq.period, len(cycle))
-    laps = span // seq.period
-    symbols = (prefix + cycle * ((head + span) // len(cycle) + 1))[:head + span]
-    pairs = _tail_limits(_int_coeffs(seq, head + span)[0], symbols, head,
-                         seq.ratio.numerator ** laps,
-                         seq.ratio.denominator ** laps)
-    scale = math.lcm(*(d for _, d in pairs))
-    n, d = (min if mode == LIMINF else max)(
-        pairs, key=lambda pair: pair[0] * (scale // pair[1]))
-    return Fraction(n, d * unit)
+    return PayoffValue(mode=mode, exact=_Shape(
+        seq, word.prefix_len, word.cycle_len).apply(ints, unit, mode))
 
 
 def _fitted_limit(nums: tuple[int, int, int], dens: tuple[int, int, int],

@@ -343,17 +343,18 @@ def parse_sequence(text: str) -> Union[CoeffSeq, RawCoeffTable]:
     if head == "blocks":
         parts = rest.split(";")
         block = _parse_csv(parts[0])
-        mu: Optional[Fraction] = None
-        prefix: tuple[Fraction, ...] = ()
+        options: dict = {}
         for extra in parts[1:]:
             key, eq, value = extra.partition("=")
+            if key in options:
+                raise SequenceFormatError(f"repeated blocks option {key!r}")
             if key == "mu" and eq:
-                mu = parse_rational(value)
+                options[key] = parse_rational(value)
             elif key == "prefix" and eq:
-                prefix = _parse_csv(value)
+                options[key] = _parse_csv(value)
             else:
                 raise SequenceFormatError(f"unrecognized blocks option {extra!r}")
-        if mu is None:
+        if "mu" not in options:
             raise SequenceFormatError("blocks spec requires ;mu=<rat>")
-        return CoeffSeq(prefix, block, mu)
+        return CoeffSeq(options.get("prefix", ()), block, options["mu"])
     raise SequenceFormatError(f"unrecognized sequence spec {text!r}")

@@ -48,9 +48,9 @@ from .errors import BudgetExceededError, UnsupportedSequenceError
 from .games import (GameGraph, MemorylessStrategy, detour_gadget,
                     count_memoryless, enumerate_memoryless, escape_gadget,
                     two_branch_gadget)
-from .payoff import (LIMINF, PayoffValue, _check_mode, _extreme_limit,
-                     _int_coeffs, _phase_sums, _scaled, eval_exact,
-                     supports_exact)
+from .payoff import (LIMINF, PayoffValue, _Shape, _check_mode,
+                     _exact_checks, _int_coeffs, _phase_sums, _scaled,
+                     eval_exact, supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
 
@@ -144,9 +144,10 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
     fastest, player 1's digits above player 2's.  A depth-first walk from
     the start, over an explicit stack, fixes a state's edge index only
     when the walk first reaches it.  An edge back to a state on the path
-    closes the play: a distinct play, evaluated once on the game's
-    weights scaled to integers, whose id goes to every cell that agrees
-    with the fixed indices, whatever the states off the path choose.
+    closes the play: a distinct play, evaluated once by the table's
+    payoff._Shape for its lengths on the game's weights scaled to
+    integers; its id goes to every cell that agrees with the fixed
+    indices, whatever the states off the path choose.
     """
     # shifts[q][k]: how far edge index k of state q moves a profile's index.
     shifts: dict[str, list[int]] = {}
@@ -158,6 +159,7 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
     moves, unit = _int_moves(g)
     cells: list = [None] * size
     values: list[Fraction] = []
+    kernels: dict = {}
     path = {g.start: 0}
     rewards: list[int] = []
     # One frame per state on the path: the state, the index shift of the
@@ -181,9 +183,10 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
             frames.append((dst, base, iter(enumerate(moves[dst]))))
             continue
         play = len(values)
-        values.append(_extreme_limit(seq, tuple(rewards[:cut]),
-                                     tuple(rewards[cut:]) + (weight,),
-                                     unit, mode))
+        shape = (cut, len(rewards) + 1 - cut)
+        if shape not in kernels:
+            kernels[shape] = _Shape(seq, *shape)
+        values.append(kernels[shape].apply(rewards + [weight], unit, mode))
         offsets = [base]
         for q in g.states:
             if q not in path:
@@ -341,27 +344,6 @@ def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
             for q, pairs in options.items()}
 
 
-def _slot_weights(coeffs, seq: CoeffSeq, first: int,
-                  length: int) -> tuple[int, ...]:
-    """Weights of the slots of a cycle of ``length`` entered at ``first``.
-
-    They are the numerator of payoff._tail_limits read as a linear form in
-    the rewards.  With H = max(m, first), span = lcm(p, length) and rho =
-    ratio**(span/p) = num/den, slot j weighs (den - num) c_i over the
-    positions i in [first, H) and den c_i over [H, H + span) that it
-    reads, i = first + j mod length; ``coeffs`` are the c_i as integers.
-    """
-    span = math.lcm(seq.period, length)
-    laps = span // seq.period
-    num, den = seq.ratio.numerator ** laps, seq.ratio.denominator ** laps
-    head = max(seq.prefix_len, first)
-    weights = [0] * length
-    for i in range(first, head + span):
-        weights[(i - first) % length] += coeffs[i] * (den if i >= head
-                                                      else den - num)
-    return tuple(weights)
-
-
 def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
     """One DP step: the best score of each state one move on.  Over the
     reversed moves it is a backward step, the best completion of each
@@ -446,8 +428,8 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     ``start``, by edge index, that beats v at the phase offset ``offset``
     against the block, or None; answers are kept, misses too.
 
-    A lasso's payoff is the extreme phase limit W_r / V_r of
-    payoff._tail_limits, fed the cycle's integer gains U - V from
+    A lasso's payoff is the extreme phase limit W_r / V_r of a
+    payoff._Shape, fed the cycle's integer gains U - V from
     ``options``.  V_r depends only on the span, so its sign is found once
     per span, and "beats v" once per (cycle, offset).  The walks are
     enumerated depth first over an explicit stack, pruned by a table of
@@ -557,8 +539,8 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     there.  Every weight comes from one table of c_0 ..
     c_(m + p*(max_len+1) - 1); one budget unit is one DP cell.
 
-    Ratio <= 1: the payoff's numerator, as _slot_weights reads it off the
-    closed form, weighs position i < cut by (den - num) c_i, 0 under
+    Ratio <= 1: the payoff's numerator, the weights of a payoff._Shape,
+    weighs position i < cut by (den - num) c_i, 0 under
     ratio 1, and cycle slot j by beta_j; its denominator has a fixed
     sign.  So beating v is the sign of sum (den - num) c_i (x_i - v) +
     sum beta_j (u_j - v) in the signed gains of _signed_steps, and the
@@ -625,9 +607,10 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
 
     cache: dict = {}
 
-    def slot_weights(first: int, length: int) -> tuple:
+    def slot_weights(first: int, length: int) -> list:
         if (first, length) not in cache:
-            cache[first, length] = _slot_weights(coeffs, seq, first, length)
+            cache[first, length] = _Shape(seq, first, length,
+                                          coeffs).weights[first:]
         return cache[first, length]
 
     # The shared streams: (class, 0) the unfolded one, (class, d) the
@@ -962,19 +945,19 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
     order; loops nested x, y, u, v).
 
     Each (prefix, cycle) pair is evaluated exactly once into a table with
-    one row per prefix.  Each row x then becomes two bitsets over the C**2
-    ordered cycle pairs (u, v), bit u*C + v: ``below`` where phi(xu) <
-    phi(xv) and ``above`` where phi(xu) > phi(xv).  A pair of prefixes
-    x != y witnesses at the lowest bit of below[x] & above[y], which is
-    the first quad in the u, v order.  One budget unit is one table
-    entry, charged before any is evaluated, or one quad: C**2 for a pair
-    without a witness, and the witness's index + 1 for the pair with
+    one row per prefix, by the table's payoff._Shape for its lengths on
+    the alphabet scaled to integers.  Each row x then becomes two bitsets
+    over the C**2 ordered cycle pairs (u, v), bit u*C + v: ``below`` where
+    phi(xu) < phi(xv) and ``above`` where phi(xu) > phi(xv).  A pair of
+    prefixes x != y witnesses at the lowest bit of below[x] & above[y],
+    which is the first quad in the u, v order.  One budget unit is one
+    table entry, charged before any is evaluated, or one quad: C**2 for a
+    pair without a witness, and the witness's index + 1 for the pair with
     one.  ``nonempty_only`` restricts the prefixes to nonempty words,
-    covering the stricter reading of the property.  Returns None when
-    the space contains no witness; raises BudgetExceededError if the
-    search is cut short, which is distinct from a verified absence, and
-    ValueError if the bounds leave no quad to compare or the budget is
-    negative.
+    covering the stricter reading of the property.  Returns None when the
+    space contains no witness; raises BudgetExceededError if the search is
+    cut short, which is distinct from a verified absence, and ValueError
+    if the bounds leave no quad to compare or the budget is negative.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -990,10 +973,17 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
                           * _count_words(len(alphabet), max_cycle_len, 1))
     if remaining < 0:
         raise BudgetExceededError("monotonicity search exceeded its budget")
+    _exact_checks(seq, mode)
     prefixes = _words_by_length(alphabet, max_prefix_len, min_len=shortest)
     cycles = _words_by_length(alphabet, max_cycle_len, min_len=1)
-    table = [[eval_exact(seq, LassoWord(x, u), mode).exact for u in cycles]
-             for x in prefixes]
+    ints, unit = _scaled(alphabet)
+    int_cycles = _words_by_length(ints, max_cycle_len, min_len=1)
+    kernels = {(i, k): _Shape(seq, i, k)
+               for i in range(shortest, max_prefix_len + 1)
+               for k in range(1, max_cycle_len + 1)}
+    table = [[kernels[len(x), len(u)].apply(x + u, unit, mode)
+              for u in int_cycles]
+             for x in _words_by_length(ints, max_prefix_len, min_len=shortest)]
     quads = len(cycles) ** 2
     below, above = zip(*map(_order_bits, table))
     for x, row_x, below_x in zip(prefixes, table, below):

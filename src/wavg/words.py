@@ -44,22 +44,20 @@ def lasso(prefix=(), cycle=()) -> LassoWord:
 
 def parse_lasso(text: str) -> LassoWord:
     """Parse 'prefix=r0,r1,...;cycle=s0,s1,...' (prefix part optional)."""
-    prefix: tuple[Fraction, ...] = ()
-    cycle: tuple[Fraction, ...] | None = None
+    parts: dict[str, tuple[Fraction, ...]] = {}
     for part in text.split(";"):
         key, eq, value = part.partition("=")
         if not eq:
             raise SequenceFormatError(f"malformed lasso component {part!r}")
+        if key in parts:
+            raise SequenceFormatError(f"repeated lasso component {key!r}")
         items = tuple(parse_rational(tok) for tok in value.split(",")) if value else ()
-        if key == "prefix":
-            prefix = items
-        elif key == "cycle":
-            cycle = items
-        else:
+        if key not in ("prefix", "cycle"):
             raise SequenceFormatError(f"unrecognized lasso component {key!r}")
-    if cycle is None:
+        parts[key] = items
+    if "cycle" not in parts:
         raise SequenceFormatError("lasso spec requires cycle=...")
-    return LassoWord(prefix, cycle)
+    return LassoWord(parts.get("prefix", ()), parts["cycle"])
 
 
 def format_lasso(word: LassoWord) -> str:

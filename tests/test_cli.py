@@ -53,6 +53,17 @@ class TestEvalWord:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("seq, word, key", [
+        ("mean", "prefix=1;cycle=1;cycle=2", "cycle"),
+        ("mean", "prefix=1;prefix=2;cycle=1", "prefix"),
+        ("blocks:2,1;mu=1;mu=1/2", "cycle=1", "mu"),
+        ("blocks:2,1;mu=1;prefix=1;prefix=2", "cycle=1", "prefix")])
+    def test_repeated_component_exit_code(self, capsys, seq, word, key):
+        # A second value for a key is refused, not silently kept.
+        code, _, err = run(capsys, "eval-word", "--seq", seq, "--word", word)
+        assert code == 2
+        assert "repeated" in err and repr(key) in err
+
     def test_admission_error_exit_code(self, capsys):
         code, _, err = run(capsys, "eval-word", "--seq", "blocks:1,-1;mu=1",
                            "--word", "cycle=1")
@@ -348,13 +359,12 @@ class TestVerifyPaper:
 
     def test_corrupted_evaluator_fails_counterexample_check(
             self, capsys, monkeypatch):
-        real = wavg.payoff._tail_limits
+        real = wavg.payoff._Shape.numerators
 
-        def corrupted(coeffs, symbols, head, num, den):
-            return [(w + v, v) for w, v in real(coeffs, symbols, head, num,
-                                                den)]
+        def corrupted(kernel, rewards):
+            return [w + v for w, v in zip(real(kernel, rewards), kernel.dens)]
 
-        monkeypatch.setattr(wavg.payoff, "_tail_limits", corrupted)
+        monkeypatch.setattr(wavg.payoff._Shape, "numerators", corrupted)
         code, out, _ = run(capsys, "verify-paper")
         assert code == 1
         assert "overall: FAIL" in out

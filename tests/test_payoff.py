@@ -1,5 +1,6 @@
 """Payoff evaluators: exact closed forms, the truncation oracle, agreement."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import lcm
@@ -422,6 +423,42 @@ class TestEvalApproxMatchesFractionLoop:
         assert errors > 0
 
 
+def _words_up_to(alphabet, max_len, min_len=0):
+    return [word for k in range(min_len, max_len + 1)
+            for word in itertools.product(alphabet, repeat=k)]
+
+
+class TestShapeKernel:
+    """eval_exact's shape kernels against oracles that do not use them."""
+
+    @pytest.mark.parametrize("ratio", [F(2), F(3, 2), F(3)])
+    def test_growing_extremes_are_rotation_values(self, ratio):
+        seq = geometric(ratio)
+        for prefix in ((), (5,), (1, -3)):
+            for cycle in _words_up_to((-1, 0, 2), 4, min_len=1):
+                rotations = rotation_values(ratio, cycle)
+                word = lasso(prefix, cycle)
+                assert eval_exact(seq, word, "liminf").exact == min(rotations)
+                assert eval_exact(seq, word, "limsup").exact == max(rotations)
+
+    @pytest.mark.parametrize("spec, oracle", [
+        ("blocks:1;mu=1/2;prefix=1,-2,3", None),
+        ("blocks:1,1/2;mu=1/8;prefix=3,1", None),
+        ("disc:1/2", lambda word: disc_sum(F(1, 2), word)),
+        ("mean", mean_payoff)])
+    def test_prefixes_shorter_than_the_sequence_prefix(self, spec, oracle):
+        # Every word over {0, 1} with |x| <= 3 and |u| <= 3: the prefixed
+        # blocks read some of their head past the word's prefix.
+        seq = parse_sequence(spec)
+        for x in _words_up_to((0, 1), 3):
+            for u in _words_up_to((0, 1), 3, min_len=1):
+                word = lasso(x, u)
+                for mode in ("liminf", "limsup"):
+                    value = eval_exact(seq, word, mode).exact
+                    assert approx_contains(seq, word, 60, value, mode)
+                    assert oracle is None or value == oracle(word)
+
+
 class TestOraclesAvoidTheClosedForm:
     def test_truncation_oracle_and_value_iteration(self, monkeypatch):
         game = random_game(4)
@@ -436,9 +473,8 @@ class TestOraclesAvoidTheClosedForm:
             raise AssertionError("an oracle reached the closed form")
 
         for module, names in (
-                (payoff, ("_tail_limits", "_phase_sums", "_extreme_limit",
-                          "eval_exact")),
-                (solver, ("_phase_sums", "_extreme_limit", "eval_exact"))):
+                (payoff, ("_Shape", "_phase_sums", "eval_exact")),
+                (solver, ("_phase_sums", "_Shape", "eval_exact"))):
             for name in names:
                 monkeypatch.setattr(module, name, closed_form)
         with pytest.raises(AssertionError):

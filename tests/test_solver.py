@@ -167,24 +167,43 @@ class TestPlayTreeTable:
         self._check(CIRCULANT, parse_sequence(spec), mode)
 
     def test_one_core_evaluation_per_play(self, monkeypatch):
-        # The table evaluates each distinct play once, by the integer core
+        # The table evaluates each distinct play once, by a shape kernel
         # of eval_exact, and never calls eval_exact itself.
         seq = parse_sequence("mean")
         expected = solve_enumerative(CIRCULANT, seq).table
         plays = []
-        core = solver._extreme_limit
+        apply = solver._Shape.apply
 
-        def counting(seq, prefix, cycle, unit, mode):
-            plays.append((prefix, cycle))
-            return core(seq, prefix, cycle, unit, mode)
+        def counting(kernel, rewards, unit, mode):
+            plays.append(rewards)
+            return apply(kernel, rewards, unit, mode)
 
         def refuse(*args):
             raise AssertionError("eval_exact called by the table")
 
-        monkeypatch.setattr(solver, "_extreme_limit", counting)
+        monkeypatch.setattr(solver._Shape, "apply", counting)
         monkeypatch.setattr(solver, "eval_exact", refuse)
         assert solve_enumerative(CIRCULANT, seq).table == expected
         assert len(plays) == CIRCULANT_PLAYS
+
+    def test_one_kernel_per_play_shape(self, monkeypatch):
+        # The 497 plays have far fewer shapes (|x|, |u|), read off every
+        # profile's play, and the table builds one kernel for each.
+        shapes = {(word.prefix_len, word.cycle_len) for word in (
+            induced_lasso(CIRCULANT, StrategyProfile(sigma, pi))
+            for sigma in enumerate_memoryless(CIRCULANT, 1)
+            for pi in enumerate_memoryless(CIRCULANT, 2))}
+        built = []
+        init = solver._Shape.__init__
+
+        def counting(kernel, seq, prefix_len, cycle_len):
+            built.append((prefix_len, cycle_len))
+            init(kernel, seq, prefix_len, cycle_len)
+
+        monkeypatch.setattr(solver._Shape, "__init__", counting)
+        solve_enumerative(CIRCULANT, parse_sequence("mean"))
+        assert sorted(built) == sorted(shapes)
+        assert len(shapes) < CIRCULANT_PLAYS
 
 
 class TestValueIteration:
@@ -893,12 +912,13 @@ class TestMonotoneFalsify:
     def test_one_evaluation_per_table_entry(self, spec, alphabet, calls,
                                             monkeypatch):
         seen = []
+        apply = solver._Shape.apply
 
-        def counting(seq, word, mode=LIMINF):
-            seen.append((word.prefix, word.cycle))
-            return eval_exact(seq, word, mode)
+        def counting(kernel, rewards, unit, mode):
+            seen.append((kernel, rewards))
+            return apply(kernel, rewards, unit, mode)
 
-        monkeypatch.setattr(solver, "eval_exact", counting)
+        monkeypatch.setattr(solver._Shape, "apply", counting)
         monotone_falsify(parse_sequence(spec), alphabet, 2, 2)
         assert len(seen) == len(set(seen)) == calls
 
