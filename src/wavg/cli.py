@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Commands: eval-word, solve, check-memoryless, find-witness, monotone,
-verify-paper.  Exit codes: 0 success / no witness, 1 witness found (or
-failed verification), 2 input error, 3 budget exceeded, 4 internal error.
+verify-paper.  Each command returns its result, as (exit code, structured
+document, text lines), and ``main`` renders it once, in the format asked.
+Exit codes: 0 success / no witness, 1 witness found (or failed
+verification), 2 input error, 3 budget exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -72,19 +74,8 @@ def _instance_hash(*parts: str) -> str:
     return digest.hexdigest()[:16]
 
 
-def _emit(doc: dict, args) -> None:
-    if args.format == "structured":
-        if args.timing:
-            doc["elapsed_seconds"] = round(time.monotonic() - args._t0, 6)
-        print(json.dumps(doc, indent=2, sort_keys=False))
-
-
 def _mode(args) -> str:
     return payoff.LIMSUP if args.limsup else args.mode
-
-
-def _word(xs) -> str:
-    return "(" + ",".join(str(x) for x in xs) + ")"
 
 
 def _deviation_doc(witness) -> dict:
@@ -94,6 +85,13 @@ def _deviation_doc(witness) -> dict:
         "deviating_payoff": str(witness.deviating_payoff),
         "memoryless_payoff": str(witness.memoryless_payoff),
     }
+
+
+def _deviation_lines(witness) -> list[str]:
+    """Text form of a DeviationWitness."""
+    return [f"deviation: {witness.description}",
+            f"deviating payoff  = {witness.deviating_payoff}",
+            f"memoryless payoff = {witness.memoryless_payoff}"]
 
 
 def _monotone_doc(witness) -> dict:
@@ -108,7 +106,13 @@ def _monotone_doc(witness) -> dict:
     }
 
 
-def cmd_eval_word(args) -> int:
+def _monotone_words(doc: dict) -> str:
+    """The words of a MonotonicityWitness, in text, from its _monotone_doc."""
+    return (f"x=({','.join(doc['x'])}) y=({','.join(doc['y'])}) "
+            f"u={doc['u']} v={doc['v']}")
+
+
+def cmd_eval_word(args) -> tuple[int, dict, list[str]]:
     seq = sequences.parse_sequence(args.seq)
     word = parse_lasso(args.word)
     mode = _mode(args)
@@ -122,181 +126,150 @@ def cmd_eval_word(args) -> int:
             value = payoff.eval_exact(seq, word, mode)
         except UnsupportedSequenceError as exc:
             raise InputError(f"{exc}; pass --horizon to evaluate approximately")
-    if args.format == "structured":
-        doc = {
-            "command": "eval-word",
-            "sequence": args.seq,
-            "word": format_lasso(word),
-            "mode": mode,
-            "seed": args.seed,
-        }
-        if value.exact is not None:
-            doc["exact"] = str(value.exact)
-        else:
-            doc["bracket"] = [str(value.bracket[0]), str(value.bracket[1])]
-            doc["horizon"] = value.horizon_used
-        _emit(doc, args)
+    doc = {
+        "command": "eval-word",
+        "sequence": args.seq,
+        "word": format_lasso(word),
+        "mode": mode,
+        "seed": args.seed,
+    }
+    if value.exact is not None:
+        doc["exact"] = str(value.exact)
     else:
-        print(str(value))
-    return EXIT_OK
+        doc["bracket"] = [str(value.bracket[0]), str(value.bracket[1])]
+        doc["horizon"] = value.horizon_used
+    return EXIT_OK, doc, [str(value)]
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict, list[str]]:
     g = _load_game(args.game)
     seq = sequences.parse_sequence(args.seq)
     mode = _mode(args)
     report = solver.solve_enumerative(g, seq, mode=mode, budget=args.budget)
-    if args.format == "structured":
-        doc = {
-            "command": "solve",
-            "instance": _instance_hash(games.serialize_game(g), args.seq, mode),
-            "sequence": args.seq,
-            "mode": mode,
-            "maximin": str(report.maximin.exact),
-            "minimax": str(report.minimax.exact),
-            "saddle": report.saddle,
-            "p1_optimal": report.p1_optimal.describe(),
-            "p2_optimal": report.p2_optimal.describe(),
-            "bounds": {"budget": args.budget},
-            "seed": args.seed,
-        }
-        _emit(doc, args)
-    else:
-        print(f"maximin  = {report.maximin.exact}")
-        print(f"minimax  = {report.minimax.exact}")
-        print(f"saddle   = {report.saddle}")
-        print(f"p1 optimal: {report.p1_optimal.describe()}")
-        print(f"p2 optimal: {report.p2_optimal.describe()}")
-    return EXIT_OK
+    doc = {
+        "command": "solve",
+        "instance": _instance_hash(games.serialize_game(g), args.seq, mode),
+        "sequence": args.seq,
+        "mode": mode,
+        "maximin": str(report.maximin.exact),
+        "minimax": str(report.minimax.exact),
+        "saddle": report.saddle,
+        "p1_optimal": report.p1_optimal.describe(),
+        "p2_optimal": report.p2_optimal.describe(),
+        "bounds": {"budget": args.budget},
+        "seed": args.seed,
+    }
+    lines = [f"maximin  = {doc['maximin']}",
+             f"minimax  = {doc['minimax']}",
+             f"saddle   = {report.saddle}",
+             f"p1 optimal: {doc['p1_optimal']}",
+             f"p2 optimal: {doc['p2_optimal']}"]
+    return EXIT_OK, doc, lines
 
 
-def cmd_check_memoryless(args) -> int:
+def cmd_check_memoryless(args) -> tuple[int, dict, list[str]]:
     g = _load_game(args.game)
     seq = sequences.parse_sequence(args.seq)
     mode = _mode(args)
     verdict = solver.check_memoryless(g, seq, mem_bound=args.mem_bound,
                                       mode=mode, budget=args.budget)
     witness = verdict.witness
-    if args.format == "structured":
-        doc = {
-            "command": "check-memoryless",
-            "instance": _instance_hash(games.serialize_game(g), args.seq, mode),
-            "sequence": args.seq,
-            "mode": mode,
-            "verdict": verdict.kind.value,
-            "bounds": {"mem_bound": verdict.mem_bound,
-                       "budget": verdict.budget},
-            "seed": args.seed,
-        }
-        if witness is not None:
-            doc["witness"] = _deviation_doc(witness)
-        _emit(doc, args)
-    else:
-        print(f"verdict = {verdict.kind.value}")
-        if witness is not None:
-            print(f"deviation: {witness.description}")
-            print(f"deviating payoff  = {witness.deviating_payoff}")
-            print(f"memoryless payoff = {witness.memoryless_payoff}")
-    if verdict.kind is solver.VerdictKind.WITNESS_FOUND:
-        return EXIT_WITNESS
-    return EXIT_OK
+    doc = {
+        "command": "check-memoryless",
+        "instance": _instance_hash(games.serialize_game(g), args.seq, mode),
+        "sequence": args.seq,
+        "mode": mode,
+        "verdict": verdict.kind.value,
+        "bounds": {"mem_bound": verdict.mem_bound, "budget": verdict.budget},
+        "seed": args.seed,
+    }
+    lines = [f"verdict = {verdict.kind.value}"]
+    if witness is not None:
+        doc["witness"] = _deviation_doc(witness)
+        lines += _deviation_lines(witness)
+    code = (EXIT_WITNESS if verdict.kind is solver.VerdictKind.WITNESS_FOUND
+            else EXIT_OK)
+    return code, doc, lines
 
 
-def cmd_find_witness(args) -> int:
+def cmd_find_witness(args) -> tuple[int, dict, list[str]]:
     seq = sequences.parse_sequence(args.seq)
     mode = _mode(args)
     report = solver.find_witness_sequence_failure(
         seq, mem_bound=args.mem_bound, budget=args.budget, mode=mode)
-    if args.format == "structured":
-        doc = {
-            "command": "find-witness",
-            "sequence": args.seq,
-            "mode": mode,
-            "found": report.found,
-            "tried": report.tried,
-            "bounds": {"mem_bound": args.mem_bound, "budget": args.budget},
-            "seed": args.seed,
-        }
-        if report.verdict is not None and report.verdict.witness is not None:
-            doc["game"] = games.serialize_game(report.game)
-            doc["witness"] = _deviation_doc(report.verdict.witness)
-        if report.monotonicity is not None:
-            doc["monotonicity_witness"] = _monotone_doc(report.monotonicity)
-        _emit(doc, args)
-    else:
-        print(f"found = {report.found}")
-        for line in report.tried:
-            print(f"  tried {line}")
-        if report.verdict is not None and report.verdict.witness is not None:
-            print(f"witness game:\n{games.serialize_game(report.game)}", end="")
-            print(f"deviation: {report.verdict.witness.description}")
-            print(f"deviating payoff  = {report.verdict.witness.deviating_payoff}")
-            print(f"memoryless payoff = {report.verdict.witness.memoryless_payoff}")
-        if report.monotonicity is not None:
-            w = report.monotonicity
-            print(f"monotonicity witness: x={_word(w.x)} y={_word(w.y)} "
-                  f"u={format_lasso(w.u)} v={format_lasso(w.v)}")
-            print(f"values: {w.phi_xu} < {w.phi_xv} but {w.phi_yu} > {w.phi_yv}")
-    return EXIT_WITNESS if report.found else EXIT_OK
+    doc = {
+        "command": "find-witness",
+        "sequence": args.seq,
+        "mode": mode,
+        "found": report.found,
+        "tried": report.tried,
+        "bounds": {"mem_bound": args.mem_bound, "budget": args.budget},
+        "seed": args.seed,
+    }
+    lines = [f"found = {report.found}"]
+    lines += [f"  tried {line}" for line in report.tried]
+    if report.verdict is not None and report.verdict.witness is not None:
+        doc["game"] = games.serialize_game(report.game)
+        doc["witness"] = _deviation_doc(report.verdict.witness)
+        lines += ["witness game:", *doc["game"].splitlines(),
+                  *_deviation_lines(report.verdict.witness)]
+    if report.monotonicity is not None:
+        w = doc["monotonicity_witness"] = _monotone_doc(report.monotonicity)
+        lines += [f"monotonicity witness: {_monotone_words(w)}",
+                  "values: {} < {} but {} > {}".format(*w["values"])]
+    return EXIT_WITNESS if report.found else EXIT_OK, doc, lines
 
 
-def cmd_monotone(args) -> int:
+def cmd_monotone(args) -> tuple[int, dict, list[str]]:
     seq = sequences.parse_sequence(args.seq)
     mode = _mode(args)
     alphabet = [sequences.parse_rational(t) for t in args.alphabet.split(",")]
     witness = solver.monotone_falsify(
         seq, alphabet, args.max_prefix, args.max_cycle, mode=mode,
         budget=args.budget, nonempty_only=args.nonempty)
-    if args.format == "structured":
-        doc = {
-            "command": "monotone",
-            "sequence": args.seq,
-            "mode": mode,
-            "alphabet": [str(a) for a in alphabet],
-            "max_prefix": args.max_prefix,
-            "max_cycle": args.max_cycle,
-            "witness_found": witness is not None,
-            "seed": args.seed,
-        }
-        if witness is not None:
-            doc["witness"] = _monotone_doc(witness)
-        _emit(doc, args)
-    else:
-        if witness is None:
-            print("no monotonicity violation in the searched space")
-        else:
-            print(f"witness: x={_word(witness.x)} y={_word(witness.y)} "
-                  f"u={format_lasso(witness.u)} v={format_lasso(witness.v)}")
-            print(f"phi(xu)={witness.phi_xu} < phi(xv)={witness.phi_xv} "
-                  f"but phi(yu)={witness.phi_yu} > phi(yv)={witness.phi_yv}")
-    return EXIT_WITNESS if witness is not None else EXIT_OK
+    doc = {
+        "command": "monotone",
+        "sequence": args.seq,
+        "mode": mode,
+        "alphabet": [str(a) for a in alphabet],
+        "max_prefix": args.max_prefix,
+        "max_cycle": args.max_cycle,
+        "witness_found": witness is not None,
+        "seed": args.seed,
+    }
+    if witness is None:
+        return EXIT_OK, doc, ["no monotonicity violation in the searched space"]
+    w = doc["witness"] = _monotone_doc(witness)
+    return EXIT_WITNESS, doc, [
+        f"witness: {_monotone_words(w)}",
+        "phi(xu)={} < phi(xv)={} but phi(yu)={} > phi(yv)={}".format(
+            *w["values"])]
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args) -> tuple[int, dict, list[str]]:
     report = verify.verify_paper()
-    if args.format == "structured":
-        doc = {
-            "command": "verify-paper",
-            "overall": report.overall,
-            "checks": [
-                {"name": c.name, "expected": c.expected, "actual": c.actual,
-                 "pass": c.passed}
-                for c in report.checks
-            ],
-            "seed": args.seed,
-        }
-        _emit(doc, args)
-    else:
-        width = max(len(c.name) for c in report.checks)
-        for c in report.checks:
-            status = "pass" if c.passed else "FAIL"
-            line = f"{status}  {c.name.ljust(width)}  expected {c.expected}"
-            if not c.passed:
-                line += f"  got {c.actual}"
-            print(line)
-        print(f"overall: {'pass' if report.overall else 'FAIL'} "
-              f"({sum(c.passed for c in report.checks)}/{len(report.checks)})")
-    return EXIT_OK if report.overall else EXIT_WITNESS
+    doc = {
+        "command": "verify-paper",
+        "overall": report.overall,
+        "checks": [
+            {"name": c.name, "expected": c.expected, "actual": c.actual,
+             "pass": c.passed}
+            for c in report.checks
+        ],
+        "seed": args.seed,
+    }
+    width = max(len(c.name) for c in report.checks)
+    lines = []
+    for c in report.checks:
+        status = "pass" if c.passed else "FAIL"
+        line = f"{status}  {c.name.ljust(width)}  expected {c.expected}"
+        if not c.passed:
+            line += f"  got {c.actual}"
+        lines.append(line)
+    passed = sum(c.passed for c in report.checks)
+    lines.append(f"overall: {'pass' if report.overall else 'FAIL'} "
+                 f"({passed}/{len(report.checks)})")
+    return EXIT_OK if report.overall else EXIT_WITNESS, doc, lines
 
 
 @functools.cache
@@ -372,9 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args._t0 = time.monotonic()
+    start = time.monotonic()
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        if args.format == "structured":
+            if args.timing:
+                doc["elapsed_seconds"] = round(time.monotonic() - start, 6)
+            print(json.dumps(doc, indent=2, sort_keys=False))
+        else:
+            print("\n".join(lines))
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

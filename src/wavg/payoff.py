@@ -166,8 +166,10 @@ class _Shape:
             self.prefix_len = prefix_len
             self.start = prefix_len + (head - prefix_len) % cycle_len
             self.dens = _phase_sums(self.window, num, den)
-        scale = math.lcm(*self.dens)
-        self.scales = [scale // d for d in self.dens]
+        # Per phase, its factor to the least common denominator, found on
+        # the first apply: a kernel that is only read for its numerators
+        # skips the lcm of its k phases.
+        self.scales = None
 
     def numerators(self, rewards) -> list[int]:
         """Each phase's numerator for the integer rewards, prefix then
@@ -185,6 +187,9 @@ class _Shape:
         as integers over a common denominator.  It makes no checks."""
         nums, r = self.numerators(rewards), 0
         if len(nums) > 1:
+            if self.scales is None:
+                scale = math.lcm(*self.dens)
+                self.scales = [scale // d for d in self.dens]
             keys = list(map(operator.mul, nums, self.scales))
             r = keys.index((min if mode == LIMINF else max)(keys))
         return Fraction(nums[r], self.dens[r] * unit)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -49,7 +48,7 @@ from .games import (GameGraph, MemorylessStrategy, detour_gadget,
                     count_memoryless, enumerate_memoryless, escape_gadget,
                     two_branch_gadget)
 from .payoff import (LIMINF, PayoffValue, _Shape, _check_mode,
-                     _exact_checks, _int_coeffs, _phase_sums, _scaled,
+                     _exact_checks, _int_coeffs, _scaled,
                      eval_exact, supports_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
@@ -429,9 +428,10 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     against the block, or None; answers are kept, misses too.
 
     A lasso's payoff is the extreme phase limit W_r / V_r of a
-    payoff._Shape, fed the cycle's integer gains U - V from
-    ``options``.  V_r depends only on the span, so its sign is found once
-    per span, and "beats v" once per (cycle, offset).  The walks are
+    payoff._Shape fed the cycle's integer gains U - V from ``options``.
+    One kernel per cycle length is built on the scan's table ``coeffs``
+    and kept, with the signs of its V_r, until the scan asks the next
+    length; "beats v" is found once per (cycle, offset).  The walks are
     enumerated depth first over an explicit stack, pruned by a table of
     the states each state reaches in exactly k steps.  A cycle rotated by
     r has the same phase limits at the offset moved by r, so a walk is cut
@@ -440,7 +440,6 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     left, a candidate's length and a new sign's span.
     """
     m, p = seq.prefix_len, seq.period
-    a, b = seq.ratio.numerator, seq.ratio.denominator
     extreme = min if mode == LIMINF else max
     wanted = 1 if deviator == 1 else -1
     # reach[k][q]: the states q reaches in exactly k steps, as a bitmask
@@ -453,29 +452,29 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
                 layer[q] |= last[edge.dst]
         reach.append(layer)
         spend(len(layer))
-    # Per span: the window c_m .. c_(m+span-1), rho = num/den and the
-    # sign of each phase's V_r, none of which depends on the cycle.
-    tails: dict[int, tuple] = {}
+    # The kernel of the last cycle length asked, with the sign of each
+    # phase's V_r: the scan asks length after length.
+    kernel: tuple = (0, None, None)
     signs: dict = {}
     found: dict = {}
     # cleared[length, offset]: the starts with no beating closed walk.
     cleared: dict = {}
 
     def sign(cycle: tuple[int, ...], phase: int) -> int:
-        # Tail positions m, m+1, ... against the cycle entered at -phase.
+        # Tail position m reads cycle slot -phase, and the kernel's window
+        # slot m mod k: rotate the cycle right by their difference.
+        nonlocal kernel
         k = len(cycle)
-        span = math.lcm(p, k)
-        spend(span)
-        if span not in tails:
-            window = coeffs[m:m + span]
-            num, den = a ** (span // p), b ** (span // p)
-            tails[span] = (window, num, den, [
-                (v > 0) - (v < 0) for v in _phase_sums(window, num, den)])
-        window, num, den, v_signs = tails[span]
-        symbols = (cycle[k - phase:] + cycle[:k - phase]) * (span // k)
-        terms = list(map(operator.mul, window, symbols))
+        spend(math.lcm(p, k))
+        if kernel[0] != k:
+            shape = _Shape(seq, 0, k, coeffs)
+            kernel = k, shape, [(v > 0) - (v < 0) for v in shape.dens]
+        _, shape, v_signs = kernel
+        turn = (m + phase) % k
+        if turn:
+            cycle = cycle[k - turn:] + cycle[:k - turn]
         return extreme([((w > 0) - (w < 0)) * v for w, v in zip(
-            _phase_sums(terms, num, den), v_signs)])
+            shape.numerators(cycle), v_signs)])
 
     def cycle(start: str, length: int,
               offset: int) -> Optional[tuple[Fraction, ...]]:
@@ -605,14 +604,6 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             seen[first] = {**seen.get(first, {}), **reach[cut]}
             joined.append(seen[first])
 
-    cache: dict = {}
-
-    def slot_weights(first: int, length: int) -> list:
-        if (first, length) not in cache:
-            cache[first, length] = _Shape(seq, first, length,
-                                          coeffs).weights[first:]
-        return cache[first, length]
-
     # The shared streams: (class, 0) the unfolded one, (class, d) the
     # fold of period d.
     walks: dict = {}
@@ -630,13 +621,14 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             # span = length: slot j weighs den * c_(first+j).
             key, factor = (first, 0), b ** (length // p)
         else:
-            betas = slot_weights(first, length)
+            betas = _Shape(seq, first, length, coeffs).weights[first:]
             return _ClosedWalks(betas).advance(steps, length, starts, spend)
         if key not in walks:
             # Only multiples of d read the fold of period d.
             walks[key] = _ClosedWalks(
                 coeffs[first:] if key[1] == 0
-                else slot_weights(first, d) * (max_len // d))
+                else _Shape(seq, first, d, coeffs).weights[first:]
+                * (max_len // d))
         best = walks[key].advance(steps, length, starts, spend)
         return {q: score * factor for q, score in best.items()}
 
@@ -674,7 +666,7 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                 [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
             if growing:
                 return LassoWord(head, cycle(q, length, offset))
-            betas = slot_weights(first, length)
+            betas = _Shape(seq, first, length, coeffs).weights[first:]
             loop, _, _ = _first_walk(
                 options, steps, back, q, [w * loop_scale for w in betas],
                 score, {q: 0}, spend)
@@ -783,6 +775,28 @@ def _best_response(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
             return False
 
 
+def _table_units(seq: CoeffSeq, laps: int) -> int:
+    """The budget units of the coefficient table c_0 .. c_(m+p*laps-1) as
+    integers over one unit, found before any entry is built: an upper
+    bound on its 64-bit words.  Under ratio a/b != 1 the unit divides D *
+    b**(laps-1), D the least common denominator of the prefix and block,
+    so the entry of lap t has at most log2(N*D) + t*log2(a) +
+    (laps-1-t)*log2(b) + 1 bits, N their largest numerator, and 1 + (bits
+    - 1)/64 words at most.  Ratio-1 entries do not grow: one unit each."""
+    m, p = seq.prefix_len, seq.period
+    count = m + p * laps
+    a, b = seq.ratio.numerator, seq.ratio.denominator
+    if a == b:
+        return count
+    values = seq.prefix + seq.block
+    head = (math.log2(max(abs(v.numerator) for v in values) or 1)
+            + math.log2(math.lcm(*(v.denominator for v in values))))
+    grow, shrink, last = math.log2(max(a, 1)), math.log2(b), laps - 1
+    bits = (m * (head + last * shrink)
+            + p * laps * (head + (grow + shrink) * last / 2))
+    return count + math.ceil(bits / 64)
+
+
 def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                      mode: str = LIMINF, budget: int = 2_000_000) -> Verdict:
     """Decide whether bounded deviations refute memoryless optimality.
@@ -798,8 +812,9 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     an empty scan there after a beating best response is an internal error.
     The table and the search share ``budget``: the table costs one unit per
     memoryless profile, the best response |Q|*(m+p) units, and the scan's
-    coefficient table one unit per coefficient, each charged before it is
-    built.  A negative ``mem_bound`` or ``budget`` is a ValueError.
+    coefficient table a bound on its 64-bit words (_table_units), one per
+    coefficient under ratio 1, each charged before it is built.  A
+    negative ``mem_bound`` or ``budget`` is a ValueError.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
@@ -831,7 +846,7 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
 
     growing = seq.ratio > 1
     # The scan's coefficient table, charged once, before the first scan.
-    table = seq.prefix_len + seq.period * (max_len + 1)
+    table = _table_units(seq, max_len + 1)
     complete = not growing and (
         mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
     gains = _edge_gains(g, value)

@@ -200,6 +200,21 @@ class TestCheckMemoryless:
         assert "budget" in err
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("game, spec, mem_bound", [
+        ("builtin:loops:1", "geom:2", "1000000"),
+        ("builtin:detour:4,1,3", "blocks:1,1/2;mu=1/8", "20000")])
+    def test_coefficient_table_charged_by_its_words(self, capsys, game, spec,
+                                                    mem_bound):
+        # Entry i of these tables has O(i) bits: about 5*10**11 bits in
+        # all for the first and 5*10**9 for the second, which one unit per
+        # entry let the default budget build.
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check-memoryless", "--game", game,
+                           "--seq", spec, "--mem-bound", mem_bound)
+        assert code == 3
+        assert "budget" in err
+        assert time.perf_counter() - start < 1
+
     def test_memoryless_values_without_a_saddle(self, capsys, tmp_path):
         # No memoryless saddle under this block sequence (maximin 4/3,
         # minimax 5/3) is already a witness.

@@ -1,9 +1,11 @@
-"""Byte-identical structured output of the north-star CLI rows.
+"""Byte-identical output of the north-star CLI rows.
 
-Each row runs ``wavg`` in-process with ``--format structured`` and compares
-stdout byte for byte with ``tests/golden/<name>.json``.  A change that
-alters any answer, witness, order or key fails here.  After an intended
-change of output, regenerate the files with
+Each row of ``ROWS`` runs ``wavg`` in-process with ``--format structured``
+and compares stdout byte for byte with ``tests/golden/<name>.json``; each
+row of ``TEXT_ROWS`` does the same with ``--format text`` against
+``tests/golden/<name>.txt``.  A change that alters any answer, witness,
+order, key or line fails here.  After an intended change of output,
+regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -93,11 +95,43 @@ for _tag, _argv in (
     ROWS[f"solve-circulant-8-{_tag}"] = (
         ["solve", "--game", str(GOLDEN / "circulant-8.game")] + _argv, 0)
 
+# The text rendering of every command, with and without a witness.
+TEXT_ROWS = {
+    "text-eval-word-disc-2_3-exact": (
+        ["eval-word", "--seq", "disc:2/3",
+         "--word", "prefix=1,-2/3;cycle=1/2,3"], 0),
+    "text-eval-word-geom-3-horizon-160": (
+        ["eval-word", "--seq", "geom:3", "--word", "prefix=2;cycle=1,-1",
+         "--horizon", "160"], 0),
+    "text-solve-two-branch-geom-2": (
+        ["solve", "--game", "builtin:two-branch", "--seq", "geom:2"], 0),
+    "text-check-detour-4-1-3-blocks-1-1_2-mu-1_8": (
+        ["check-memoryless", "--game", "builtin:detour:4,1,3",
+         "--seq", "blocks:1,1/2;mu=1/8"], 1),
+    "text-check-spike-4-mean": (
+        ["check-memoryless", "--game", "builtin:spike:4", "--seq", "mean"],
+        0),
+    "text-find-witness-blocks-1-1_2-mu-1_8": (
+        ["find-witness", "--seq", "blocks:1,1/2;mu=1/8"], 1),
+    "text-find-witness-blocks-2-1-mu-1": (
+        ["find-witness", "--seq", "blocks:2,1;mu=1"], 1),
+    "text-find-witness-disc-1_2": (
+        ["find-witness", "--seq", "disc:1/2"], 0),
+    "text-monotone-blocks-2-1-mu-1": (
+        ["monotone", "--seq", "blocks:2,1;mu=1"], 1),
+    "text-monotone-blocks-1-mu-0": (
+        ["monotone", "--seq", "blocks:1;mu=0"], 0),
+    "text-verify-paper": (["verify-paper"], 0),
+}
 
-def _run(argv):
+# format -> (rows, golden file suffix)
+FORMATS = {"structured": (ROWS, ".json"), "text": (TEXT_ROWS, ".txt")}
+
+
+def _run(argv, fmt="structured"):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv + ["--format", "structured"])
+        code = main(argv + ["--format", fmt])
     return code, out.getvalue()
 
 
@@ -109,9 +143,18 @@ def test_structured_output_is_unchanged(name):
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(TEXT_ROWS))
+def test_text_output_is_unchanged(name):
+    argv, want_code = TEXT_ROWS[name]
+    code, out = _run(argv, "text")
+    assert code == want_code
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, _) in sorted(ROWS.items()):
-        code, out = _run(argv)
-        (GOLDEN / f"{name}.json").write_text(out)
-        print(f"{name}: exit {code}", file=sys.stderr)
+    for fmt, (rows, suffix) in FORMATS.items():
+        for name, (argv, _) in sorted(rows.items()):
+            code, out = _run(argv, fmt)
+            (GOLDEN / f"{name}{suffix}").write_text(out)
+            print(f"{name}: exit {code}", file=sys.stderr)

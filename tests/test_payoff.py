@@ -474,7 +474,7 @@ class TestOraclesAvoidTheClosedForm:
 
         for module, names in (
                 (payoff, ("_Shape", "_phase_sums", "eval_exact")),
-                (solver, ("_phase_sums", "_Shape", "eval_exact"))):
+                (solver, ("_Shape", "eval_exact"))):
             for name in names:
                 monkeypatch.setattr(module, name, closed_form)
         with pytest.raises(AssertionError):

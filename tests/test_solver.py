@@ -373,6 +373,22 @@ class TestCheckMemoryless:
                              parse_sequence("blocks:2,1;mu=1"),
                              mem_bound=10**6, budget=1_000)
 
+    @pytest.mark.parametrize("spec", [
+        "geom:2", "geom:3/2", "disc:1/2", "disc:2/3", "blocks:1,1/2;mu=1/8",
+        "blocks:1;mu=1/2;prefix=1,-2,3", "blocks:1,2;mu=2;prefix=7/3",
+        "blocks:1;mu=0", "blocks:2,1;mu=1"])
+    def test_table_units_bound_its_words(self, spec):
+        # The charge, found before the table is built, bounds the table's
+        # 64-bit words within a factor 2; under ratio 1 it is its length.
+        seq = parse_sequence(spec)
+        for laps in (1, 3, 40, 400):
+            count = seq.prefix_len + seq.period * laps
+            words = sum(max(1, -(-abs(c).bit_length() // 64))
+                        for c in solver._int_coeffs(seq, count)[0])
+            units = solver._table_units(seq, laps)
+            assert words <= units <= 2 * words
+            assert seq.ratio != 1 or units == count
+
     def test_no_beating_play_skips_the_scan(self, monkeypatch):
         # Nothing beats the value, so neither _dp_scan nor its table runs,
         # whatever the memory bound.
