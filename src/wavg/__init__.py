@@ -10,7 +10,7 @@ from .errors import (BudgetExceededError, GameFormatError, InputError,
                      SequenceAdmissionError, SequenceFormatError,
                      UnsupportedSequenceError, WavgError)
 from .games import (Edge, FiniteMemoryStrategy, GameGraph, MemorylessStrategy,
-                    StrategyProfile, count_memoryless, cycle_choice_gadget,
+                    count_memoryless, cycle_choice_gadget,
                     detour_gadget, enumerate_memoryless, escape_gadget,
                     induced_lasso, loops_gadget, parse_game, random_game,
                     serialize_game, two_branch_gadget)

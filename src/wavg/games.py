@@ -120,12 +120,6 @@ class FiniteMemoryStrategy:
 Strategy = Union[MemorylessStrategy, FiniteMemoryStrategy]
 
 
-@dataclass
-class StrategyProfile:
-    p1: Strategy
-    p2: Strategy
-
-
 def _pick(strategy: Strategy, mem: int, q: str) -> Edge:
     if isinstance(strategy, MemorylessStrategy):
         return strategy.choice[q]
@@ -138,8 +132,9 @@ def _advance(strategy: Strategy, mem: int, arrived: str) -> int:
     return strategy.update[(mem, arrived)]
 
 
-def induced_lasso(g: GameGraph, profile: StrategyProfile) -> LassoWord:
-    """Simulate the unique play of a profile and return its reward lasso.
+def induced_lasso(g: GameGraph, p1: Strategy, p2: Strategy) -> LassoWord:
+    """Simulate the unique play of the profile (p1, p2) and return its
+    reward lasso.
 
     The play is cut at the first repeated (state, memory, memory)
     configuration, so the result has prefix+cycle length at most |Q|
@@ -152,15 +147,15 @@ def induced_lasso(g: GameGraph, profile: StrategyProfile) -> LassoWord:
     config = (q, m1, m2)
     while config not in seen:
         seen[config] = len(rewards)
-        strategy = profile.p1 if g.owner(q) == 1 else profile.p2
+        strategy = p1 if g.owner(q) == 1 else p2
         mem = m1 if g.owner(q) == 1 else m2
         edge = _pick(strategy, mem, q)
         if edge.src != q:
             raise ValueError(f"strategy chose edge {edge} from state {q!r}")
         rewards.append(edge.weight)
         q = edge.dst
-        m1 = _advance(profile.p1, m1, q)
-        m2 = _advance(profile.p2, m2, q)
+        m1 = _advance(p1, m1, q)
+        m2 = _advance(p2, m2, q)
         config = (q, m1, m2)
     cut = seen[config]
     return LassoWord(tuple(rewards[:cut]), tuple(rewards[cut:]))

@@ -66,11 +66,11 @@ class SolveReport:
     p1_strategies: list[MemorylessStrategy]
     p2_strategies: list[MemorylessStrategy]
     table: list[list[Fraction]]
-    # The rank of each row's minimum and of each column's maximum among
-    # the table's distinct values, for check_memoryless; no output prints
+    # Each row's minimum and each column's maximum as integers over the
+    # table's common denominator, for check_memoryless; no output prints
     # them.
-    row_min_ranks: list[int]
-    col_max_ranks: list[int]
+    row_min_keys: list[int]
+    col_max_keys: list[int]
 
 
 # The default bound on the number of memoryless profiles a table covers.
@@ -83,9 +83,9 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
 
     The table is filled from the play tree: each distinct play is found
     once and evaluated once, and its id goes to every profile that plays
-    it; no profile's play is replayed.  The distinct values are ranked
-    once, equal values sharing a rank, and the row minima and column
-    maxima are taken over the integer ranks.  Ties are broken by
+    it; no profile's play is replayed.  The row minima and column maxima
+    are taken over the values as integers over their common denominator,
+    equal exactly where the values are.  Ties are broken by
     enumeration order (first strategy found).  The number of profiles
     must not exceed ``budget``, which must be nonnegative.
     """
@@ -103,24 +103,14 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
     p2s = list(enumerate_memoryless(g, 2))
     width = len(p2s)
     cells, values = _play_tree_values(g, seq, mode)
-    # Sorted once on integers over the values' common denominator:
-    # levels[r] is the r-th least distinct value, rank[k] that of play k.
-    keys = _scaled(values)[0]
-    levels: list[Fraction] = []
-    rank = [0] * len(values)
-    last = None
-    for k in sorted(range(len(values)), key=keys.__getitem__):
-        if keys[k] != last:
-            levels.append(values[k])
-            last = keys[k]
-        rank[k] = len(levels) - 1
-    ranked = [rank[k] for k in cells]
-    row_mins = [min(ranked[i:i + width]) for i in range(0, len(ranked), width)]
-    col_maxs = [max(ranked[j::width]) for j in range(width)]
+    keys, scale = _scaled(values)
+    keyed = [keys[k] for k in cells]
+    row_mins = [min(keyed[i:i + width]) for i in range(0, len(keyed), width)]
+    col_maxs = [max(keyed[j::width]) for j in range(width)]
     maximin, minimax = max(row_mins), min(col_maxs)
     return SolveReport(
-        maximin=PayoffValue(mode=mode, exact=levels[maximin]),
-        minimax=PayoffValue(mode=mode, exact=levels[minimax]),
+        maximin=PayoffValue(mode=mode, exact=Fraction(maximin, scale)),
+        minimax=PayoffValue(mode=mode, exact=Fraction(minimax, scale)),
         p1_optimal=p1s[row_mins.index(maximin)],
         p2_optimal=p2s[col_maxs.index(minimax)],
         saddle=maximin == minimax,
@@ -128,8 +118,8 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
         p2_strategies=p2s,
         table=[[values[k] for k in cells[i:i + width]]
                for i in range(0, len(cells), width)],
-        row_min_ranks=row_mins,
-        col_max_ranks=col_maxs,
+        row_min_keys=row_mins,
+        col_max_keys=col_maxs,
     )
 
 
@@ -146,7 +136,8 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
     closes the play: a distinct play, evaluated once by the table's
     payoff._Shape for its lengths on the game's weights scaled to
     integers; its id goes to every cell that agrees with the fixed
-    indices, whatever the states off the path choose.
+    indices, whatever the states off the path choose: only the states
+    with two or more moves multiply the cells.
     """
     # shifts[q][k]: how far edge index k of state q moves a profile's index.
     shifts: dict[str, list[int]] = {}
@@ -155,6 +146,7 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
         for q in reversed(g.owned_states(player)):
             shifts[q] = [k * size for k in range(len(g.out_edges(q)))]
             size *= len(shifts[q])
+    branching = [q for q in g.states if len(shifts[q]) > 1]
     moves, unit = _int_moves(g)
     cells: list = [None] * size
     values: list[Fraction] = []
@@ -187,7 +179,7 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
             kernels[shape] = _Shape(seq, *shape)
         values.append(kernels[shape].apply(rewards + [weight], unit, mode))
         offsets = [base]
-        for q in g.states:
+        for q in branching:
             if q not in path:
                 offsets = [o + shift for o in offsets for shift in shifts[q]]
         for o in offsets:
@@ -208,13 +200,15 @@ class ValueIteration:
     steps: int
 
 
-def _int_moves(g: GameGraph) -> tuple[dict, int]:
-    """Each state's out-edges as (weight, destination) pairs, the weights
-    as integers over their least common denominator, and that unit."""
-    weights, scale = _scaled([e.weight for e in g.edges])
+def _int_moves(g: GameGraph,
+               value: Fraction = Fraction(0)) -> tuple[dict, int]:
+    """Each state's out-edges as (gain, destination) pairs, in edge order,
+    and the unit: the gain U - V of a reward U over ``value`` V, both as
+    integers over the least common denominator of V and the rewards."""
+    (level, *weights), scale = _scaled([value, *(e.weight for e in g.edges)])
     moves = {q: [] for q in g.states}
     for e, w in zip(g.edges, weights):
-        moves[e.src].append((w, e.dst))
+        moves[e.src].append((w - level, e.dst))
     return moves, scale
 
 
@@ -300,25 +294,15 @@ class Verdict:
     budget: int
 
 
-def _edge_gains(g: GameGraph, value: Fraction) -> dict[str, tuple[int, ...]]:
-    """Per state, the integer gains U - V of its out-edges: each reward
-    and ``value`` scaled to integers over one common positive unit."""
-    unit = math.lcm(value.denominator, *(e.weight.denominator for e in g.edges))
-    level = value.numerator * (unit // value.denominator)
-    return {q: tuple(e.weight.numerator * (unit // e.weight.denominator) - level
-                     for e in g.out_edges(q))
-            for q in g.states}
-
-
 def _deviation_edges(g: GameGraph, deviator: int,
-                     opponent: MemorylessStrategy, gains: dict) -> dict:
-    """Per state, the candidate edges paired with their gains from
-    _edge_gains: every out-edge for the deviator, the opponent's choice
-    elsewhere."""
+                     opponent: MemorylessStrategy, moves: dict) -> dict:
+    """Per state, the candidate edges paired with their gains over the
+    value from _int_moves ``moves``: every out-edge for the deviator, the
+    opponent's choice elsewhere."""
     options = {}
     for q in g.states:
         edges = g.out_edges(q)
-        pairs = tuple(zip(edges, gains[q]))
+        pairs = tuple(zip(edges, (gain for gain, _ in moves[q])))
         options[q] = (pairs if g.owner(q) == deviator
                       else (pairs[edges.index(opponent.choice[q])],))
     return options
@@ -431,13 +415,13 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     payoff._Shape fed the cycle's integer gains U - V from ``options``.
     One kernel per cycle length is built on the scan's table ``coeffs``
     and kept, with the signs of its V_r, until the scan asks the next
-    length; "beats v" is found once per (cycle, offset).  The walks are
+    length; each candidate cycle is decided as it is found.  The walks are
     enumerated depth first over an explicit stack, pruned by a table of
     the states each state reaches in exactly k steps.  A cycle rotated by
     r has the same phase limits at the offset moved by r, so a walk is cut
     where it meets a start cleared at the offset of its rotation there.
     Budget units: |Q| per step of the table, one per edge tried or frame
-    left, a candidate's length and a new sign's span.
+    left, a candidate's length and its span lcm(p, length).
     """
     m, p = seq.prefix_len, seq.period
     extreme = min if mode == LIMINF else max
@@ -455,12 +439,11 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     # The kernel of the last cycle length asked, with the sign of each
     # phase's V_r: the scan asks length after length.
     kernel: tuple = (0, None, None)
-    signs: dict = {}
     found: dict = {}
     # cleared[length, offset]: the starts with no beating closed walk.
     cleared: dict = {}
 
-    def sign(cycle: tuple[int, ...], phase: int) -> int:
+    def sign(cycle: list[int], phase: int) -> int:
         # Tail position m reads cycle slot -phase, and the kernel's window
         # slot m mod k: rotate the cycle right by their difference.
         nonlocal kernel
@@ -508,10 +491,7 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
                 continue
             spend(moves + length)
             moves = 0
-            memo = (tuple(gains), offset)
-            if memo not in signs:
-                signs[memo] = sign(*memo)
-            if signs[memo] == wanted:
+            if sign(gains, offset) == wanted:
                 found[key] = tuple(e.weight for e in edges)
                 break
             del edges[-1], gains[-1]
@@ -585,9 +565,12 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         else:
             classes.append((m + residue, 1, 1) if a >= b else (cut, 1, 1))
 
+    # reach[cut]: the best prefix score of each state reached in cut steps;
+    # a growing class reads only the states, so its prefix weighs 0.
+    heads = [0] * max_len if growing else coeffs
     reach = [{g.start: 0}]
     for k in range(max_len - 1):
-        reach.append(_relax(reach[-1], steps, coeffs[k], spend))
+        reach.append(_relax(reach[-1], steps, heads[k], spend))
     lengths, cuts = range(1, max_len + 1), range(max_len)
     if growing:
         firsts: dict = {}
@@ -849,23 +832,20 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     table = _table_units(seq, max_len + 1)
     complete = not growing and (
         mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
-    gains = _edge_gains(g, value)
-    level = max(report.row_min_ranks)  # the rank of the saddle value
+    moves = _int_moves(g, value)[0]
+    level = max(report.row_min_keys)  # the key of the saddle value
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
-        if deviator == 1:
-            responses = [pi for pi, top in zip(report.p2_strategies,
-                                               report.col_max_ranks)
-                         if top == level]
-        else:
-            responses = [sigma for sigma, low in zip(report.p1_strategies,
-                                                     report.row_min_ranks)
-                         if low == level]
+        # The opponent strategies that hold the deviator to the saddle value.
+        responses = [s for s, key in zip(
+            *((report.p2_strategies, report.col_max_keys) if deviator == 1
+              else (report.p1_strategies, report.row_min_keys)))
+            if key == level]
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:
-            options = _deviation_edges(g, deviator, response, gains)
+            options = _deviation_edges(g, deviator, response, moves)
             if not growing and not _best_response(g, options, deviator, seq,
                                                   spend):
                 beats_every_response = False

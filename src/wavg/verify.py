@@ -129,7 +129,7 @@ def verify_paper() -> PaperCheckReport:
     # Detour gadget with the sign-split rewards
     g_detour = games.detour_gadget(1, -1, 0, owner=1)
     detour_words = {
-        games.induced_lasso(g_detour, games.StrategyProfile(s, games.MemorylessStrategy({})))
+        games.induced_lasso(g_detour, s, games.MemorylessStrategy({}))
         for s in games.enumerate_memoryless(g_detour, 1)
     }
     check("detour memoryless plays",

@@ -30,12 +30,6 @@ class LassoWord:
     def cycle_len(self) -> int:
         return len(self.cycle)
 
-    def symbol(self, i: int) -> Fraction:
-        """The reward at position i."""
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-
 
 def lasso(prefix=(), cycle=()) -> LassoWord:
     """Convenience constructor accepting ints/strings."""

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from wavg import (LassoWord, MemorylessStrategy, StrategyProfile, VerdictKind,
+from wavg import (LassoWord, MemorylessStrategy, VerdictKind,
                   check_memoryless, cycle_choice_gadget, detour_gadget,
                   disc_sum, discounted, eval_approx, eval_exact, geometric,
                   induced_lasso, lasso, mean_payoff, mean_sequence,
@@ -62,11 +62,11 @@ def test_criterion_1_two_branch_reproduction():
     memoryless_values = [report.table[0][j] for j in range(2)]
     assert memoryless_values == [F(4, 3), F(4, 3)]
     for pi in report.p2_strategies:
-        word = induced_lasso(g, StrategyProfile(MemorylessStrategy({}), pi))
+        word = induced_lasso(g, MemorylessStrategy({}), pi)
         _register(seq, word)
 
     alternating = induced_lasso(
-        g, StrategyProfile(MemorylessStrategy({}), _alternating_strategy(g)))
+        g, MemorylessStrategy({}), _alternating_strategy(g))
     assert alternating == lasso((), (1, 2, 0, 4))
     assert set(rotation_values(2, alternating.cycle)) == {
         F(37, 15), F(26, 15), F(28, 15), F(14, 15)}

@@ -261,6 +261,59 @@ def test_negative_budget_is_bad_input(capsys, argv):
     assert "budget must be nonnegative" in err
 
 
+def _assert_bad_input(code, out, err, message):
+    # Malformed input exits 2 with one "error:" line and no traceback.
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("eval-word", "--seq", "foo", "--word", "cycle=1"),
+     "unrecognized sequence spec 'foo'"),
+    (("eval-word", "--seq", "blocks:1;foo=2", "--word", "cycle=1"),
+     "unrecognized blocks option 'foo=2'"),
+    (("eval-word", "--seq", "table:", "--word", "cycle=1"),
+     "empty value list"),
+    (("eval-word", "--seq", "table:0,1", "--word", "cycle=1"),
+     "first coefficient must be nonzero"),
+    (("eval-word", "--seq", "mean", "--word", "cycle="),
+     "lasso cycle must be nonempty"),
+    (("eval-word", "--seq", "mean", "--word", "foo"),
+     "malformed lasso component 'foo'"),
+    (("eval-word", "--seq", "mean", "--word", "foo=1"),
+     "unrecognized lasso component 'foo'"),
+    (("check-memoryless", "--game", "builtin:two-branch", "--seq", "mean",
+      "--mem-bound", "-1"), "mem_bound must be nonnegative"),
+    (("check-memoryless", "--game", "builtin:spike:0", "--seq", "mean"),
+     "k must be at least 1"),
+], ids=["seq-spec", "blocks-option", "empty-table", "table-zero-first",
+        "empty-cycle", "lasso-no-eq", "lasso-key", "mem-bound", "spike-0"])
+def test_bad_argument_is_bad_input(capsys, argv, message):
+    _assert_bad_input(*run(capsys, *argv), message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("state a\n", "line 1: state line needs: state <name> <1|2>"),
+    ("state a 1\nstate b 3\n", "line 2: owner must be 1 or 2, got '3'"),
+    ("state a 1\nedge a a\n",
+     "line 2: edge line needs: edge <src> <dst> <rational>"),
+    ("state a 1\nedge a a 1\nedge a a 1\n", "line 3: duplicate edge a->a(1)"),
+    ("state a 1\nedge a a 1\nstart\n",
+     "line 3: start line needs: start <name>"),
+    ("state a 1\nedge a a 1\nstart b\n", "line 3: unknown state 'b'"),
+    ("state a 1\nedge a a 1\nstart a\nfrob a\n",
+     "line 4: unrecognized directive 'frob'"),
+], ids=["state-arity", "owner", "edge-arity", "duplicate-edge",
+        "start-arity", "start-unknown", "directive"])
+def test_bad_game_file_is_bad_input(capsys, tmp_path, text, message):
+    path = tmp_path / "game.txt"
+    path.write_text(text)
+    _assert_bad_input(*run(capsys, "solve", "--game", str(path),
+                           "--seq", "mean"), message)
+
+
 class TestFindWitnessAndMonotone:
     def test_find_witness(self, capsys):
         code, out, _ = run(capsys, "find-witness", "--seq",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavg import (Edge, FiniteMemoryStrategy, GameFormatError, GameGraph,
-                  MemorylessStrategy, StrategyProfile, count_memoryless,
+                  MemorylessStrategy, count_memoryless,
                   cycle_choice_gadget, detour_gadget, enumerate_memoryless,
                   escape_gadget, induced_lasso, lasso, loops_gadget,
                   parse_game, random_game, serialize_game, two_branch_gadget)
@@ -19,8 +19,8 @@ def profile_for(g, strategy, player):
     other = MemorylessStrategy({
         q: g.out_edges(q)[0] for q in g.owned_states(3 - player)})
     if player == 1:
-        return StrategyProfile(strategy, other)
-    return StrategyProfile(other, strategy)
+        return strategy, other
+    return other, strategy
 
 
 def alternating_two_branch() -> FiniteMemoryStrategy:
@@ -57,6 +57,24 @@ class TestGraphInvariants:
         with pytest.raises(GameFormatError):
             GameGraph(("a",), {"a": 1}, (Edge("a", "a", F(0)),), "z")
 
+    @pytest.mark.parametrize("states, owners, edges, message", [
+        (("a", "a"), {"a": 1}, (("a", "a"),), "duplicate state names"),
+        (("a",), {"a": 1, "b": 2}, (("a", "a"),),
+         "owner given for unknown state 'b'"),
+        (("a",), {"a": 3}, (("a", "a"),), "owner of 'a' must be 1 or 2"),
+        (("a", "b"), {"a": 1}, (("a", "b"), ("b", "a")),
+         "states without owner: ['b']"),
+        (("a",), {"a": 1}, (("a", "a"), ("b", "a")),
+         "edge from unknown state 'b'"),
+        (("a",), {"a": 1}, (("a", "b"),), "edge to unknown state 'b'"),
+    ], ids=["duplicate-name", "unknown-owner", "owner-3", "no-owner",
+            "edge-from", "edge-to"])
+    def test_constructor_checks(self, states, owners, edges, message):
+        with pytest.raises(GameFormatError) as err:
+            GameGraph(states, owners,
+                      tuple(Edge(src, dst, F(1)) for src, dst in edges), "a")
+        assert str(err.value) == message
+
 
 class TestGadgets:
     def test_two_branch_shape(self):
@@ -83,7 +101,7 @@ class TestGadgets:
     def test_detour_memoryless_plays(self):
         g = detour_gadget(1, -1, 0)
         plays = {
-            induced_lasso(g, profile_for(g, s, 1))
+            induced_lasso(g, *profile_for(g, s, 1))
             for s in enumerate_memoryless(g, 1)
         }
         assert plays == {lasso((), (0,)), lasso((), (1, -1))}
@@ -110,25 +128,30 @@ class TestInducedLasso:
             "left": g.out_edges("left")[0],
             "right": g.out_edges("right")[0],
         })
-        word = induced_lasso(g, StrategyProfile(MemorylessStrategy({}), left))
+        word = induced_lasso(g, MemorylessStrategy({}), left)
         assert word == lasso((), (0, 4))
 
     def test_self_loop(self):
         g = loops_gadget((F(5, 2),))
         s = MemorylessStrategy({"s": g.edges[0]})
-        assert induced_lasso(g, profile_for(g, s, 1)) == lasso((), (F(5, 2),))
+        assert induced_lasso(g, *profile_for(g, s, 1)) == lasso((), (F(5, 2),))
 
     def test_alternating_memory_strategy(self):
         g = two_branch_gadget()
         word = induced_lasso(
-            g, StrategyProfile(MemorylessStrategy({}), alternating_two_branch()))
+            g, MemorylessStrategy({}), alternating_two_branch())
         assert word == lasso((), (1, 2, 0, 4))
 
     def test_deterministic(self):
         g = two_branch_gadget()
-        profile = StrategyProfile(MemorylessStrategy({}),
-                                  alternating_two_branch())
-        assert induced_lasso(g, profile) == induced_lasso(g, profile)
+        profile = MemorylessStrategy({}), alternating_two_branch()
+        assert induced_lasso(g, *profile) == induced_lasso(g, *profile)
+
+    def test_edge_from_another_state_rejected(self):
+        g = two_branch_gadget()
+        wrong = MemorylessStrategy({"hub": g.out_edges("left")[0]})
+        with pytest.raises(ValueError, match="from state 'hub'"):
+            induced_lasso(g, MemorylessStrategy({}), wrong)
 
     @settings(max_examples=40)
     @given(st.integers(0, 500))
@@ -136,7 +159,7 @@ class TestInducedLasso:
         g = random_game(seed)
         p1 = next(enumerate_memoryless(g, 1))
         p2 = next(enumerate_memoryless(g, 2))
-        word = induced_lasso(g, StrategyProfile(p1, p2))
+        word = induced_lasso(g, p1, p2)
         assert word.prefix_len + word.cycle_len <= len(g.states)
 
 

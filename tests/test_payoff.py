@@ -222,13 +222,20 @@ class TestEvalApprox:
         assert approx_contains(seq, word, horizon, exact, "limsup")
 
 
+def reward_at(word, i):
+    """The reward of ``word`` at position i."""
+    if i < word.prefix_len:
+        return word.prefix[i]
+    return word.cycle[(i - word.prefix_len) % word.cycle_len]
+
+
 def _reference_approx(seq, word, horizon, mode):
     """The truncation oracle with running Fraction sums, term by term."""
     if isinstance(seq, RawCoeffTable):
         ratios = []
         num = den = F(0)
         for i in range(horizon):
-            num += seq.values[i] * word.symbol(i)
+            num += seq.values[i] * reward_at(word, i)
             den += seq.values[i]
             ratios.append(num / den)
         tail = ratios[-min(2 * word.cycle_len, horizon):]
@@ -239,7 +246,7 @@ def _reference_approx(seq, word, horizon, mode):
     coeffs = seq.terms()
     for i in range(horizon):
         c = next(coeffs)
-        nums.append(nums[-1] + c * word.symbol(i))
+        nums.append(nums[-1] + c * reward_at(word, i))
         dens.append(dens[-1] + c)
     rho = mu ** (super_period // p)
     lows, highs = [], []
@@ -516,4 +523,4 @@ class TestLassoParsing:
 
     def test_symbols(self):
         word = lasso((9,), (1, 2))
-        assert [word.symbol(i) for i in range(6)] == [9, 1, 2, 1, 2, 1]
+        assert [reward_at(word, i) for i in range(6)] == [9, 1, 2, 1, 2, 1]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from wavg import (Classification, CoeffSeq, RawCoeffTable,
                   SequenceAdmissionError, SequenceFormatError, analyze,
+                  as_rational,
                   discounted, first_zero_partial_sum, geometric, geometric_ratio, mean_sequence, parse_rational,
                   parse_sequence, partial_sum)
 
@@ -296,6 +297,21 @@ class TestConstructionAndParsing:
     def test_table_rejects_zero_partial_sum(self):
         with pytest.raises(SequenceAdmissionError):
             RawCoeffTable((1, -1, 1))
+
+    def test_table_rejects_empty_values(self):
+        with pytest.raises(SequenceFormatError, match="table must be nonempty"):
+            RawCoeffTable(())
+
+    def test_as_rational_reads_text_and_refuses_floats(self):
+        assert as_rational("1/2") == F(1, 2)
+        with pytest.raises(SequenceFormatError, match="cannot interpret 1.5"):
+            as_rational(1.5)
+
+    def test_negative_indices_rejected(self):
+        with pytest.raises(ValueError, match="index must be nonnegative"):
+            CoeffSeq().term(-1)
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            partial_sum(mean_sequence(), -1)
 
     def test_malformed_rational(self):
         with pytest.raises(SequenceFormatError):

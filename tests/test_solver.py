@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
-                  GameGraph, StrategyProfile, UnsupportedSequenceError,
+                  GameGraph, UnsupportedSequenceError,
                   VerdictKind, check_memoryless, cycle_choice_gadget,
                   detour_gadget, discounted, enumerate_memoryless,
                   escape_gadget, eval_approx, eval_exact,
@@ -95,7 +95,7 @@ def _reference_table(g, seq, mode):
     exactly, with the first maximin and minimax strategy indices."""
     p1s = list(enumerate_memoryless(g, 1))
     p2s = list(enumerate_memoryless(g, 2))
-    table = [[eval_exact(seq, induced_lasso(g, StrategyProfile(sigma, pi)),
+    table = [[eval_exact(seq, induced_lasso(g, sigma, pi),
                          mode).exact
               for pi in p2s] for sigma in p1s]
     row_mins = [min(row) for row in table]
@@ -153,7 +153,7 @@ class TestPlayTreeTable:
     @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
     @pytest.mark.parametrize("spec", TABLE_CLASSES)
     def test_ties_on_binary_weights(self, spec, mode):
-        # Equal values share a rank, so the first index among tied rows
+        # Equal values share a key, so the first index among tied rows
         # and columns decides the optimal strategies.
         seq = parse_sequence(spec)
         ties = [self._check(g, seq, mode) for g in BINARY_GAMES]
@@ -190,7 +190,7 @@ class TestPlayTreeTable:
         # The 497 plays have far fewer shapes (|x|, |u|), read off every
         # profile's play, and the table builds one kernel for each.
         shapes = {(word.prefix_len, word.cycle_len) for word in (
-            induced_lasso(CIRCULANT, StrategyProfile(sigma, pi))
+            induced_lasso(CIRCULANT, sigma, pi)
             for sigma in enumerate_memoryless(CIRCULANT, 1)
             for pi in enumerate_memoryless(CIRCULANT, 2))}
         built = []
@@ -204,6 +204,24 @@ class TestPlayTreeTable:
         solve_enumerative(CIRCULANT, parse_sequence("mean"))
         assert sorted(built) == sorted(shapes)
         assert len(shapes) < CIRCULANT_PLAYS
+
+    def test_plays_skip_the_states_of_one_move(self):
+        # Each of the 30 profiles of this gadget has a play of its own,
+        # whose id goes to the cells the states off its path allow; a state
+        # of one move multiplies no cell, so the table lists the states a
+        # fixed number of times, not once per play.
+        class Counted(tuple):
+            walks = 0
+
+            def __iter__(self):
+                Counted.walks += 1
+                return super().__iter__()
+
+        g = cycle_choice_gadget(30)
+        g.states = Counted(g.states)
+        report = solve_enumerative(g, mean_sequence())
+        assert sum(map(len, report.table)) == 30
+        assert 0 < Counted.walks < 30
 
 
 class TestValueIteration:
@@ -274,6 +292,17 @@ def _fractional_game():
 
 VALUE_ITERATION_GAMES = [random_game(seed) for seed in range(10)] + [
     _fractional_game()]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: value_iter_disc(g, 0, 5), "strictly between 0 and 1"),
+    (lambda g: value_iter_disc(g, 1, 5), "strictly between 0 and 1"),
+    (lambda g: value_iter_disc(g, F(1, 2), 0), "iterations must be positive"),
+    (lambda g: value_iter_mean(g, 0), "steps must be positive"),
+], ids=["disc-0", "disc-1", "disc-iterations", "mean-steps"])
+def test_value_iteration_argument_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(two_branch_gadget())
 
 
 class TestValueIterationMatchesFractionLoop:
@@ -521,7 +550,7 @@ def _oracle_scans(g, seq, mode=LIMINF):
 
 def _options(g, deviator, opponent, threshold):
     return solver._deviation_edges(g, deviator, opponent,
-                                   solver._edge_gains(g, threshold))
+                                   solver._int_moves(g, threshold)[0])
 
 
 def _candidates(g, deviator, opponent):
@@ -831,6 +860,23 @@ class TestGrowingSpikes:
         assert verdict.kind is VerdictKind.WITNESS_FOUND
         assert verdict.budget == 2_000_000
 
+    @pytest.mark.parametrize("game, mode", [
+        (two_branch_gadget(), LIMINF), (cycle_choice_gadget(4), LIMSUP)])
+    def test_prefix_scores_weigh_zero(self, game, mode, monkeypatch):
+        # A growing scan reads only which states each cut reaches, so its
+        # prefix DP relaxes at weight 0 and its scores stay small.
+        weights = []
+        relax = solver._relax
+
+        def recording(layer, steps, weight, spend):
+            weights.append(weight)
+            return relax(layer, steps, weight, spend)
+
+        monkeypatch.setattr(solver, "_relax", recording)
+        verdict = check_memoryless(game, geometric(2), mode=mode)
+        assert verdict.kind is VerdictKind.WITNESS_FOUND
+        assert weights and not any(weights)
+
     def test_spike_five_witness(self):
         verdict = check_memoryless(cycle_choice_gadget(5), geometric(2),
                                    mode=LIMSUP)
@@ -971,6 +1017,10 @@ class TestMonotoneFalsify:
         with pytest.raises(ValueError):
             monotone_falsify(mean_sequence(), alphabet, prefix, cycle,
                              nonempty_only=nonempty)
+
+    def test_rejects_empty_alphabet(self):
+        with pytest.raises(ValueError, match="alphabet must be nonempty"):
+            monotone_falsify(mean_sequence(), (), 2, 2)
 
     def test_periodic_block_witness(self):
         seq = parse_sequence("blocks:2,1;mu=1")
