@@ -14,14 +14,15 @@ optimality.
 One scan, ``_dp_scan``, serves every class.  Per cycle length and cut
 it asks a cycle oracle which states start a beating cycle for the cut's
 class, scores the prefixes by a best-walk DP, and rebuilds the first
-witness greedily.  Under ratio <= 1 the payoff is linear-fractional in
-the rewards, so "beats v" is the sign of a linear form and the oracle is
-a closed-walk DP; one budget unit is one DP cell.  Under a growing ratio
-the payoff is the extreme phase limit of the cycle, which ignores the
-prefix but for the cycle's phase offset, fixed by the cut's class: the
-prefix weighs 0, and the oracle ``_phase_cycles`` enumerates closed
-walks, each decided by the sign of the payoff module's integer
-per-phase kernel fed the cycle's gains U - V.
+witness greedily.  Every engine reads one table of moves (destination,
+gain U - V, reward), signed so that beating v is positive.  Under ratio
+<= 1 the payoff is linear-fractional in the rewards, so "beats v" is the
+sign of a linear form and the oracle is a closed-walk DP; one budget
+unit is one DP cell.  Under a growing ratio the payoff is the extreme
+phase limit of the cycle, which ignores the prefix but for the cycle's
+phase offset, fixed by the cut's class: the prefix weighs 0, and the
+oracle ``_phase_cycles`` enumerates closed walks, each decided by the
+phase signs of the payoff module's integer per-phase kernel.
 
 Under ratio <= 1 the scan runs only where ``_best_response``, an exact
 solve of the deviator's one-player game with positional optima, finds
@@ -43,13 +44,12 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import BudgetExceededError, UnsupportedSequenceError
+from .errors import BudgetExceededError
 from .games import (GameGraph, MemorylessStrategy, detour_gadget,
                     count_memoryless, enumerate_memoryless, escape_gadget,
                     two_branch_gadget)
-from .payoff import (LIMINF, PayoffValue, _Shape, _check_mode,
-                     _exact_checks, _int_coeffs, _scaled,
-                     eval_exact, supports_exact)
+from .payoff import (LIMINF, PayoffValue, _Shape, _exact_checks,
+                     _int_coeffs, _scaled, eval_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
 from .words import LassoWord, format_lasso
 
@@ -91,14 +91,11 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if not supports_exact(seq):
-        raise UnsupportedSequenceError(
-            "sequence has no exact evaluator; use eval_approx-based tooling")
+    _exact_checks(seq, mode)
     profiles = count_memoryless(g, 1) * count_memoryless(g, 2)
     if profiles > budget:
         raise BudgetExceededError(
             f"{profiles} memoryless profiles exceed budget {budget}")
-    _check_mode(mode)
     p1s = list(enumerate_memoryless(g, 1))
     p2s = list(enumerate_memoryless(g, 2))
     width = len(p2s)
@@ -165,7 +162,7 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
             if rewards:
                 rewards.pop()
             continue
-        idx, (weight, dst) = step
+        idx, (dst, weight, _) = step
         base = above + shifts[here][idx]
         cut = path.get(dst)
         if cut is None:
@@ -202,13 +199,13 @@ class ValueIteration:
 
 def _int_moves(g: GameGraph,
                value: Fraction = Fraction(0)) -> tuple[dict, int]:
-    """Each state's out-edges as (gain, destination) pairs, in edge order,
-    and the unit: the gain U - V of a reward U over ``value`` V, both as
-    integers over the least common denominator of V and the rewards."""
+    """Each state's out-edges as (destination, gain, reward) in edge order,
+    and the unit: the gain over ``value`` V of the reward U is U - V as an
+    integer over the least common denominator of V and the rewards."""
     (level, *weights), scale = _scaled([value, *(e.weight for e in g.edges)])
     moves = {q: [] for q in g.states}
     for e, w in zip(g.edges, weights):
-        moves[e.src].append((w - level, e.dst))
+        moves[e.src].append((e.dst, w - level, e.weight))
     return moves, scale
 
 
@@ -220,7 +217,7 @@ def _integer_iteration(g: GameGraph, steps: int, lift: int, a: int,
     u = dict.fromkeys(g.states, 0)
     for _ in range(steps):
         u = {q: (max if g.owner(q) == 1 else min)(
-                 lift * w + a * u[dst] for w, dst in moves[q])
+                 lift * w + a * u[dst] for dst, w, _ in moves[q])
              for q in g.states}
         lift *= b
     return u, scale
@@ -296,16 +293,11 @@ class Verdict:
 
 def _deviation_edges(g: GameGraph, deviator: int,
                      opponent: MemorylessStrategy, moves: dict) -> dict:
-    """Per state, the candidate edges paired with their gains over the
-    value from _int_moves ``moves``: every out-edge for the deviator, the
-    opponent's choice elsewhere."""
-    options = {}
-    for q in g.states:
-        edges = g.out_edges(q)
-        pairs = tuple(zip(edges, (gain for gain, _ in moves[q])))
-        options[q] = (pairs if g.owner(q) == deviator
-                      else (pairs[edges.index(opponent.choice[q])],))
-    return options
+    """Per state, the candidate moves of _int_moves ``moves``: every move
+    for the deviator, and elsewhere the move of the opponent's edge."""
+    return {q: (tuple(moves[q]) if g.owner(q) == deviator
+                else (moves[q][g.out_edges(q).index(opponent.choice[q])],))
+            for q in g.states}
 
 
 def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
@@ -314,26 +306,26 @@ def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
 
 
 def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
-    """Per state, its candidate moves from ``options`` as (edge index,
-    destination, signed gain).  The sign turns the gains into a linear
-    form the deviator maximizes, positive exactly where the play beats the
-    value: the deviator's sign (1 maximizes) times that of the payoff's
-    denominator, the series total under ratio < 1 and the block sum under
-    ratio 1."""
-    total = analyze(seq).series_sum if seq.ratio < 1 else sum(seq.block)
+    """The moves of ``options`` as (destination, sign * gain, reward),
+    signed so that beating the value is positive: the deviator's sign (1
+    maximizes), under ratio <= 1 times that of the payoff's denominator,
+    the series total under ratio < 1 and the block sum under ratio 1.
+    Under growth each phase's denominator keeps its own sign, which
+    _phase_cycles reads off the kernel."""
+    total = (1 if seq.ratio > 1 else sum(seq.block) if seq.ratio == 1
+             else analyze(seq).series_sum)
     sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
-    return {q: tuple((idx, e.dst, sign * gain)
-                     for idx, (e, gain) in enumerate(pairs))
-            for q, pairs in options.items()}
+    return {q: tuple((dst, sign * gain, reward) for dst, gain, reward in moves)
+            for q, moves in options.items()}
 
 
 def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
-    """One DP step: the best score of each state one move on.  Over the
-    reversed moves it is a backward step, the best completion of each
-    state one edge earlier."""
+    """One DP step: the best score of each state one move on, a move
+    adding ``weight`` times its gain.  Over the reversed moves it is a
+    backward step, the best completion of each state one move earlier."""
     out: dict = {}
     for here, score in layer.items():
-        for _, dst, gain in steps[here]:
+        for dst, gain, _ in steps[here]:
             total = score + weight * gain
             old = out.get(dst)
             if old is None or total > old:
@@ -372,16 +364,15 @@ class _ClosedWalks:
         return best
 
 
-def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
-                score: int, ends: dict,
-                spend: Callable) -> tuple[tuple, str, int]:
+def _first_walk(steps: dict, back: dict, start: str, weights, score: int,
+                ends: dict, spend: Callable) -> tuple[tuple, str, int]:
     """The edge-index-first walk of len(weights) steps with a positive score.
 
-    Step k scores weights[k] times its edge gain, on top of ``score``;
+    Step k scores weights[k] times its move's gain, on top of ``score``;
     the walk must stop in a state of ``ends``, whose value is added.  A
     backward DP over ``back``, the moves of ``steps`` reversed, gives the
     best completion from every (step, state), and the walk takes the
-    first edge whose best completion stays positive.  Returns the
+    first move whose best completion stays positive.  Returns the moves'
     rewards, the end state and the score without the end.
     """
     completions = [ends]
@@ -391,32 +382,32 @@ def _first_walk(options: dict, steps: dict, back: dict, start: str, weights,
     rewards, here = [], start
     for k, weight in enumerate(weights):
         later = completions[k + 1]
-        for idx, dst, gain in steps[here]:
+        for dst, gain, reward in steps[here]:
             if dst in later and score + weight * gain + later[dst] > 0:
                 break
         else:
             raise RuntimeError("deviation DP lost its witness")
         score += weight * gain
-        rewards.append(options[here][idx][0].weight)
+        rewards.append(reward)
         here = dst
     return tuple(rewards), here, score
 
 
-def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
-                  coeffs, max_len: int,
-                  spend: Callable) -> tuple[Callable, list[int]]:
+def _phase_cycles(steps: dict, conjunctive: bool, seq: CoeffSeq, coeffs,
+                  max_len: int, spend: Callable) -> tuple[Callable, list[int]]:
     """The cycle oracle of a growing class, and the lengths up to
     ``max_len`` that some closed walk has: ``cycle(start, length, offset)``
     is the rewards of the first closed walk of ``length`` steps at
     ``start``, by edge index, that beats v at the phase offset ``offset``
     against the block, or None; answers are kept, misses too.
 
-    A lasso's payoff is the extreme phase limit W_r / V_r of a
-    payoff._Shape fed the cycle's integer gains U - V from ``options``.
-    One kernel per cycle length is built on the scan's table ``coeffs``
-    and kept, with the signs of its V_r, until the scan asks the next
-    length; each candidate cycle is decided as it is found.  The walks are
-    enumerated depth first over an explicit stack, pruned by a table of
+    Phase r's sign is that of W_r times V_r, a payoff._Shape fed the
+    cycle's signed gains from ``steps``: a cycle beats v where every
+    phase's sign is 1 if ``conjunctive`` (the liminf maximizer, the
+    limsup minimizer), where one is otherwise.  One kernel per cycle
+    length, built on the scan's unsigned table ``coeffs``, is kept with
+    the signs of its V_r until the scan asks the next length.  The walks
+    are enumerated depth first over an explicit stack, pruned by a table of
     the states each state reaches in exactly k steps.  A cycle rotated by
     r has the same phase limits at the offset moved by r, so a walk is cut
     where it meets a start cleared at the offset of its rotation there.
@@ -424,16 +415,15 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     left, a candidate's length and its span lcm(p, length).
     """
     m, p = seq.prefix_len, seq.period
-    extreme = min if mode == LIMINF else max
-    wanted = 1 if deviator == 1 else -1
+    extreme = min if conjunctive else max
     # reach[k][q]: the states q reaches in exactly k steps, as a bitmask
     # over the states.
-    reach = [{q: 1 << i for i, q in enumerate(options)}]
+    reach = [{q: 1 << i for i, q in enumerate(steps)}]
     for _ in range(max_len):
-        last, layer = reach[-1], dict.fromkeys(options, 0)
-        for q, moves in options.items():
-            for edge, _ in moves:
-                layer[q] |= last[edge.dst]
+        last, layer = reach[-1], dict.fromkeys(steps, 0)
+        for q, moves in steps.items():
+            for dst, _, _ in moves:
+                layer[q] |= last[dst]
         reach.append(layer)
         spend(len(layer))
     # The kernel of the last cycle length asked, with the sign of each
@@ -443,7 +433,7 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
     # cleared[length, offset]: the starts with no beating closed walk.
     cleared: dict = {}
 
-    def sign(cycle: list[int], phase: int) -> int:
+    def beats(cycle: list[int], phase: int) -> bool:
         # Tail position m reads cycle slot -phase, and the kernel's window
         # slot m mod k: rotate the cycle right by their difference.
         nonlocal kernel
@@ -457,7 +447,7 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
         if turn:
             cycle = cycle[k - turn:] + cycle[:k - turn]
         return extreme([((w > 0) - (w < 0)) * v for w, v in zip(
-            shape.numerators(cycle), v_signs)])
+            shape.numerators(cycle), v_signs)]) == 1
 
     def cycle(start: str, length: int,
               offset: int) -> Optional[tuple[Fraction, ...]]:
@@ -470,38 +460,38 @@ def _phase_cycles(options: dict, deviator: int, seq: CoeffSeq, mode: str,
             return None
         clear = [cleared.get((length, o), ())
                  for o in range(math.gcd(p, length))]
-        # moves: the edges tried and the frames left since the last charge.
-        edges, gains, moves, frames = [], [], 0, [iter(options[start])]
+        # tried: the moves tried and the frames left since the last charge.
+        rewards, gains, tried, frames = [], [], 0, [iter(steps[start])]
         while frames:
-            moves += 1
-            step = next(frames[-1], None)
-            if step is None:
+            tried += 1
+            move = next(frames[-1], None)
+            if move is None:
                 frames.pop()
-                del edges[-1:], gains[-1:]
+                del rewards[-1:], gains[-1:]
                 continue
-            edge, gain = step
+            dst, gain, reward = move
             left = length - len(frames)
-            if (edge.dst in clear[(offset + len(frames)) % len(clear)]
-                    or not reach[left][edge.dst] & target):
+            if (dst in clear[(offset + len(frames)) % len(clear)]
+                    or not reach[left][dst] & target):
                 continue
-            edges.append(edge)
+            rewards.append(reward)
             gains.append(gain)
             if left:
-                frames.append(iter(options[edge.dst]))
+                frames.append(iter(steps[dst]))
                 continue
-            spend(moves + length)
-            moves = 0
-            if sign(gains, offset) == wanted:
-                found[key] = tuple(e.weight for e in edges)
+            spend(tried + length)
+            tried = 0
+            if beats(gains, offset):
+                found[key] = tuple(rewards)
                 break
-            del edges[-1], gains[-1]
-        spend(moves)
+            del rewards[-1], gains[-1]
+        spend(tried)
         if found[key] is None:
             cleared.setdefault((length, offset), set()).add(start)
         return found[key]
 
     return cycle, [length for length in range(1, max_len + 1)
-                   if any(reach[length][q] & reach[0][q] for q in options)]
+                   if any(reach[length][q] & reach[0][q] for q in steps)]
 
 
 def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
@@ -522,8 +512,8 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     weighs position i < cut by (den - num) c_i, 0 under
     ratio 1, and cycle slot j by beta_j; its denominator has a fixed
     sign.  So beating v is the sign of sum (den - num) c_i (x_i - v) +
-    sum beta_j (u_j - v) in the signed gains of _signed_steps, and the
-    oracle is a best closed-walk DP whose cycle _first_walk rebuilds.
+    sum beta_j (u_j - v), positive on the signed gains of _signed_steps,
+    and the oracle is a best closed-walk DP whose cycle _first_walk rebuilds.
     The weights of cut >= m are those of its class m + (cut-m) mod p
     times ratio**laps; a cut below m is its own class but under ratio 1.
     Lengths whose slot weights are the first L terms of one stream times
@@ -550,8 +540,8 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     steps = _signed_steps(options, deviator, seq)
     back: dict = {q: [] for q in steps}
     for q, moves in steps.items():
-        for idx, dst, gain in moves:
-            back[dst].append((idx, q, gain))
+        for dst, gain, reward in moves:
+            back[dst].append((q, gain, reward))
 
     # classes[cut] = (first position of its class, ratio**laps as num, den);
     # under ratio 1 a cut below m weighs its prefix and head by 0, so it
@@ -577,8 +567,9 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         for cut in cuts:
             firsts.setdefault((classes[cut][0], frozenset(reach[cut])), cut)
         cuts = list(firsts.values())
-        cycle, lengths = _phase_cycles(options, deviator, seq, mode, coeffs,
-                                       max_len, spend)
+        cycle, lengths = _phase_cycles(
+            steps, (mode == LIMINF) == (deviator == 1), seq, coeffs, max_len,
+            spend)
     else:
         # joined[cut]: the states reached at the cuts of cut's class up to
         # cut, in order of first reach.
@@ -645,14 +636,14 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
                 continue
             ends = {q: best[q] * loop_scale for q in reach[cut] if q in best}
             head, q, score = _first_walk(
-                options, steps, back, g.start,
-                [c * head_scale for c in coeffs[:cut]], 0, ends, spend)
+                steps, back, g.start, [c * head_scale for c in coeffs[:cut]],
+                0, ends, spend)
             if growing:
                 return LassoWord(head, cycle(q, length, offset))
             betas = _Shape(seq, first, length, coeffs).weights[first:]
             loop, _, _ = _first_walk(
-                options, steps, back, q, [w * loop_scale for w in betas],
-                score, {q: 0}, spend)
+                steps, back, q, [w * loop_scale for w in betas], score,
+                {q: 0}, spend)
             return LassoWord(head, loop)
     return None
 
@@ -801,8 +792,6 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
     report = solve_enumerative(g, seq, mode, budget)
     maximin = report.maximin.exact
     minimax = report.minimax.exact
@@ -1077,9 +1066,7 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if not supports_exact(seq):
-        raise UnsupportedSequenceError(
-            "sequence has no exact evaluator; use eval_approx-based tooling")
+    _exact_checks(seq, mode)
     an = analyze(seq)
     tried: list[str] = []
     candidates: list[tuple[str, GameGraph]] = []

@@ -481,14 +481,14 @@ def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
                 gains.pop()
                 trail.pop()
             continue
-        idx, (edge, gain) = step
-        states.append(edge.dst)
-        rewards.append(edge.weight)
+        idx, (dst, gain, reward) = step
+        states.append(dst)
+        rewards.append(reward)
         gains.append(gain)
         trail.append(idx)
         depth = len(rewards)
         for cut in range(depth):
-            if states[cut] != edge.dst:
+            if states[cut] != dst:
                 continue
             spend(depth - cut)
             phi = eval_exact(seq, LassoWord(tuple(gains[:cut]),
@@ -499,7 +499,7 @@ def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
                     best = (key, LassoWord(tuple(rewards[:cut]),
                                            tuple(rewards[cut:])))
         if depth < max_len:
-            frames.append(iter(enumerate(options[edge.dst])))
+            frames.append(iter(enumerate(options[dst])))
         else:
             states.pop()
             rewards.pop()
@@ -563,9 +563,9 @@ def _candidates(g, deviator, opponent):
 
 
 def _reference_options(g, deviator, opponent, threshold):
-    """_options built without the solver: each candidate edge paired with
-    its exact gain weight - threshold."""
-    return {q: tuple((e, e.weight - threshold) for e in edges)
+    """_options built without the solver: each candidate edge as the
+    (destination, exact gain weight - threshold, weight) triple."""
+    return {q: tuple((e.dst, e.weight - threshold, e.weight) for e in edges)
             for q, edges in _candidates(g, deviator, opponent).items()}
 
 
@@ -846,6 +846,14 @@ class TestWitnessGuard:
         with pytest.raises(RuntimeError, match=message):
             check_memoryless(g, seq, mem_bound=2)
         assert verify._deviation(g, seq) == (f"error: {message}",) * 3
+
+    def test_walk_without_a_positive_completion_is_an_internal_error(self):
+        # A one-state loop whose end value no walk lifts above 0: the
+        # greedy rebuild finds no move to take.
+        moves = {"a": (("a", 1, F(1)),)}
+        with pytest.raises(RuntimeError, match="lost its witness"):
+            solver._first_walk(moves, moves, "a", [1], 0, {"a": -5},
+                               lambda amount: None)
 
 
 class TestGrowingSpikes:
