@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 from .errors import GameFormatError
 from .sequences import RatLike, as_rational, parse_rational
@@ -169,11 +170,46 @@ def enumerate_memoryless(g: GameGraph, player: int) -> Iterator[MemorylessStrate
         yield MemorylessStrategy(dict(zip(owned, combo)))
 
 
+class MemorylessStrategies(Sequence):
+    """A player's memoryless strategies in enumerate_memoryless order, as a
+    read-only sequence: strategy i is decoded from i on its first read and
+    kept, so that a second read returns the same object.
+
+    The index is mixed-radix in the edge indices of the owned states, in
+    g.states order, the last one fastest: edge index k of state q adds
+    k * places[q].
+    """
+
+    def __init__(self, g: GameGraph, player: int):
+        self._g = g
+        self._owned = g.owned_states(player)
+        self.places: dict[str, int] = {}
+        size = 1
+        for q in reversed(self._owned):
+            self.places[q] = size
+            size *= len(g.out_edges(q))
+        self._size = size
+        self._decoded: dict[int, MemorylessStrategy] = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index: int) -> MemorylessStrategy:
+        if not -self._size <= index < self._size:
+            raise IndexError("strategy index out of range")
+        index %= self._size
+        strategy = self._decoded.get(index)
+        if strategy is None:
+            choice = {}
+            for q in self._owned:
+                edges = self._g.out_edges(q)
+                choice[q] = edges[index // self.places[q] % len(edges)]
+            strategy = self._decoded[index] = MemorylessStrategy(choice)
+        return strategy
+
+
 def count_memoryless(g: GameGraph, player: int) -> int:
-    n = 1
-    for q in g.owned_states(player):
-        n *= len(g.out_edges(q))
-    return n
+    return len(MemorylessStrategies(g, player))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exact game solving and memoryless-optimality checking.
 
-``solve_enumerative`` builds the full payoff table over memoryless
-profiles from the play tree and reads off maximin/minimax exactly.
+``solve_enumerative`` reads maximin/minimax over memoryless profiles
+exactly off the play tree: a play's profiles are its rows times its
+columns, so each play's value is spread over its own rows and columns,
+and the full payoff table is built only when read.
 ``check_memoryless`` picks the value-attaining replies and searches for
 finite-memory deviations: against each opponent best response it looks
 at the deviator's ultimately periodic plays with prefix+cycle length up
@@ -42,12 +44,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .errors import BudgetExceededError
-from .games import (GameGraph, MemorylessStrategy, detour_gadget,
-                    count_memoryless, enumerate_memoryless, escape_gadget,
-                    two_branch_gadget)
+from .games import (GameGraph, MemorylessStrategies, MemorylessStrategy,
+                    detour_gadget, escape_gadget, two_branch_gadget)
 from .payoff import (LIMINF, PayoffValue, _Shape, _exact_checks,
                      _int_coeffs, _scaled, eval_exact)
 from .sequences import Classification, CoeffSeq, analyze, as_rational
@@ -56,21 +58,42 @@ from .words import LassoWord, format_lasso
 
 @dataclass
 class SolveReport:
-    """Exact maximin/minimax over memoryless strategies, with witnesses."""
+    """Exact maximin/minimax over memoryless strategies, with witnesses.
+
+    ``p1_strategies`` and ``p2_strategies`` are read-only sequences in
+    enumerate_memoryless order that decode a strategy on its first read,
+    so the optimal strategies are the same objects as their entries.
+    ``table`` (row sigma, column pi) is built from the plays on its first
+    read and kept.
+    """
 
     maximin: PayoffValue
     minimax: PayoffValue
     p1_optimal: MemorylessStrategy
     p2_optimal: MemorylessStrategy
     saddle: bool
-    p1_strategies: list[MemorylessStrategy]
-    p2_strategies: list[MemorylessStrategy]
-    table: list[list[Fraction]]
+    p1_strategies: MemorylessStrategies
+    p2_strategies: MemorylessStrategies
     # Each row's minimum and each column's maximum as integers over the
     # table's common denominator, for check_memoryless; no output prints
     # them.
     row_min_keys: list[int]
     col_max_keys: list[int]
+    # Per distinct play: its value and its rows and columns, each as a
+    # base plus the offsets of the states off its path.
+    _plays: list = field(repr=False, compare=False)
+
+    @cached_property
+    def table(self) -> list[list[Fraction]]:
+        table = [[None] * len(self.p2_strategies)
+                 for _ in self.p1_strategies]
+        for value, row, row_offsets, col, col_offsets in self._plays:
+            cols = [col + o for o in col_offsets]
+            for o in row_offsets:
+                cells = table[row + o]
+                for c in cols:
+                    cells[c] = value
+        return table
 
 
 # The default bound on the number of memoryless profiles a table covers.
@@ -79,31 +102,38 @@ _TABLE_BUDGET = 500_000
 
 def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
                       budget: int = _TABLE_BUDGET) -> SolveReport:
-    """Solve by tabulating every memoryless profile's exact payoff.
+    """Solve exactly over every memoryless profile's payoff.
 
-    The table is filled from the play tree: each distinct play is found
-    once and evaluated once, and its id goes to every profile that plays
-    it; no profile's play is replayed.  The row minima and column maxima
-    are taken over the values as integers over their common denominator,
-    equal exactly where the values are.  Ties are broken by
-    enumeration order (first strategy found).  The number of profiles
-    must not exceed ``budget``, which must be nonnegative.
+    Each distinct play is found once, from the play tree, and evaluated
+    once; the profiles that play it are its rows times its columns, and
+    no profile's play is replayed.  Its value, as an integer over the
+    values' common denominator (equal exactly where the values are), is
+    spread over its own rows for the row minima and over its own columns
+    for the column maxima, so a solve costs sum |rows| + sum |cols| steps
+    past the play tree, not one per profile.  Ties are broken by
+    enumeration order (first strategy found).  Strategies are decoded and
+    the table is built only when read.  The number of profiles must not
+    exceed ``budget``, which must be nonnegative.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     _exact_checks(seq, mode)
-    profiles = count_memoryless(g, 1) * count_memoryless(g, 2)
+    p1s, p2s = MemorylessStrategies(g, 1), MemorylessStrategies(g, 2)
+    profiles = len(p1s) * len(p2s)
     if profiles > budget:
         raise BudgetExceededError(
             f"{profiles} memoryless profiles exceed budget {budget}")
-    p1s = list(enumerate_memoryless(g, 1))
-    p2s = list(enumerate_memoryless(g, 2))
-    width = len(p2s)
-    cells, values = _play_tree_values(g, seq, mode)
-    keys, scale = _scaled(values)
-    keyed = [keys[k] for k in cells]
-    row_mins = [min(keyed[i:i + width]) for i in range(0, len(keyed), width)]
-    col_maxs = [max(keyed[j::width]) for j in range(width)]
+    plays = _play_tree_values(g, seq, mode, p1s, p2s)
+    keys, scale = _scaled([play[0] for play in plays])
+    row_mins = [math.inf] * len(p1s)
+    col_maxs = [-math.inf] * len(p2s)
+    for key, (_, row, row_offsets, col, col_offsets) in zip(keys, plays):
+        for o in row_offsets:
+            if key < row_mins[row + o]:
+                row_mins[row + o] = key
+        for o in col_offsets:
+            if key > col_maxs[col + o]:
+                col_maxs[col + o] = key
     maximin, minimax = max(row_mins), min(col_maxs)
     return SolveReport(
         maximin=PayoffValue(mode=mode, exact=Fraction(maximin, scale)),
@@ -113,48 +143,73 @@ def solve_enumerative(g: GameGraph, seq: CoeffSeq, mode: str = LIMINF,
         saddle=maximin == minimax,
         p1_strategies=p1s,
         p2_strategies=p2s,
-        table=[[values[k] for k in cells[i:i + width]]
-               for i in range(0, len(cells), width)],
         row_min_keys=row_mins,
         col_max_keys=col_maxs,
+        _plays=plays,
     )
 
 
-def _play_tree_values(g: GameGraph, seq: CoeffSeq,
-                      mode: str) -> tuple[list[int], list[Fraction]]:
-    """The play id of every memoryless profile, row-major by (sigma, pi),
-    and the payoff of every play by id.
+def _play_tree_values(g: GameGraph, seq: CoeffSeq, mode: str,
+                      p1s: MemorylessStrategies,
+                      p2s: MemorylessStrategies) -> list[tuple]:
+    """Every distinct play as its payoff, row base, row offsets, column
+    base and column offsets.
 
-    A profile's index is mixed-radix in its edge indices, in the order of
-    enumerate_memoryless: owned states in g.states order, the last one
-    fastest, player 1's digits above player 2's.  A depth-first walk from
-    the start, over an explicit stack, fixes a state's edge index only
-    when the walk first reaches it.  An edge back to a state on the path
-    closes the play: a distinct play, evaluated once by the table's
-    payoff._Shape for its lengths on the game's weights scaled to
-    integers; its id goes to every cell that agrees with the fixed
-    indices, whatever the states off the path choose: only the states
-    with two or more moves multiply the cells.
+    A profile's row is player 1's strategy index and its column player
+    2's, each mixed-radix in its own edge indices as ``p1s`` and ``p2s``
+    decode them.  A depth-first walk from the start, over an explicit
+    stack, fixes a state's edge index only when the walk first reaches
+    it.  An edge back to a state on the path closes the play: a distinct
+    play, evaluated once by the table's payoff._Shape for its lengths on
+    the game's weights scaled to integers.  Its profiles agree with the
+    fixed indices, whatever the states off the path choose: the bases
+    sum the fixed indices, and the offsets range over the choices of the
+    off-path states with two or more moves, the only ones a bitmask of
+    the path records.  Plays whose paths hold the same such states share
+    their lists of offsets.
     """
-    # shifts[q][k]: how far edge index k of state q moves a profile's index.
+    # shifts[q][k]: how far edge index k of state q moves its owner's
+    # index; player 1's shifts are scaled by the width, so that one sum
+    # over the path is row * width + column.
+    width = len(p2s)
     shifts: dict[str, list[int]] = {}
-    size = 1
-    for player in (2, 1):
-        for q in reversed(g.owned_states(player)):
-            shifts[q] = [k * size for k in range(len(g.out_edges(q)))]
-            size *= len(shifts[q])
+    for strategies, scale in ((p1s, width), (p2s, 1)):
+        for q, place in strategies.places.items():
+            shifts[q] = [k * place * scale
+                         for k in range(len(g.out_edges(q)))]
     branching = [q for q in g.states if len(shifts[q]) > 1]
+    bits = {q: 1 << i for i, q in enumerate(branching)}
+    # Per player: its branching states' bits and their shifts in its own
+    # index; and per set of branching states on a path, the row and column
+    # offsets of the profiles that agree with the path.
+    free = [[(bits[q], [k * place for k in range(len(shifts[q]))])
+             for q, place in strategies.places.items() if q in bits]
+            for strategies in (p1s, p2s)]
+    spreads: dict[int, list[list[int]]] = {}
+
+    def spread(mask: int) -> list[list[int]]:
+        if mask not in spreads:
+            spreads[mask] = []
+            for side in free:
+                offsets = [0]
+                for bit, steps in side:
+                    if not mask & bit:
+                        offsets = [o + step for o in offsets for step in steps]
+                spreads[mask].append(offsets)
+        return spreads[mask]
+
     moves, unit = _int_moves(g)
-    cells: list = [None] * size
-    values: list[Fraction] = []
+    plays: list = []
     kernels: dict = {}
     path = {g.start: 0}
     rewards: list[int] = []
     # One frame per state on the path: the state, the index shift of the
-    # choices above it, and its remaining moves.
-    frames = [(g.start, 0, iter(enumerate(moves[g.start])))]
+    # choices above it, the bits of the branching states on the path, and
+    # its remaining moves.
+    frames = [(g.start, 0, bits.get(g.start, 0),
+               iter(enumerate(moves[g.start])))]
     while frames:
-        here, above, steps = frames[-1]
+        here, above, mask, steps = frames[-1]
         step = next(steps, None)
         if step is None:
             frames.pop()
@@ -168,20 +223,17 @@ def _play_tree_values(g: GameGraph, seq: CoeffSeq,
         if cut is None:
             path[dst] = len(rewards) + 1
             rewards.append(weight)
-            frames.append((dst, base, iter(enumerate(moves[dst]))))
+            frames.append((dst, base, mask | bits.get(dst, 0),
+                           iter(enumerate(moves[dst]))))
             continue
-        play = len(values)
         shape = (cut, len(rewards) + 1 - cut)
         if shape not in kernels:
             kernels[shape] = _Shape(seq, *shape)
-        values.append(kernels[shape].apply(rewards + [weight], unit, mode))
-        offsets = [base]
-        for q in branching:
-            if q not in path:
-                offsets = [o + shift for o in offsets for shift in shifts[q]]
-        for o in offsets:
-            cells[o] = play
-    return cells, values
+        row, col = divmod(base, width)
+        row_offsets, col_offsets = spread(mask)
+        plays.append((kernels[shape].apply(rewards + [weight], unit, mode),
+                      row, row_offsets, col, col_offsets))
+    return plays
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +878,13 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
-        # The opponent strategies that hold the deviator to the saddle value.
-        responses = [s for s, key in zip(
-            *((report.p2_strategies, report.col_max_keys) if deviator == 1
-              else (report.p1_strategies, report.row_min_keys)))
-            if key == level]
+        # The opponent strategies that hold the deviator to the saddle
+        # value, each decoded only when the search reaches it.
+        strategies, keys = ((report.p2_strategies, report.col_max_keys)
+                            if deviator == 1 else
+                            (report.p1_strategies, report.row_min_keys))
+        responses = (strategies[i] for i, key in enumerate(keys)
+                     if key == level)
         first: Optional[DeviationWitness] = None
         beats_every_response = True
         for response in responses:

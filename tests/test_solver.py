@@ -19,7 +19,7 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
                   mean_sequence, monotone_falsify, parse_sequence,
                   random_game, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
-from wavg import solver, verify
+from wavg import games, solver, verify
 
 F = Fraction
 
@@ -54,7 +54,8 @@ class TestSolveEnumerative:
         def unreachable(*args, **kwargs):
             raise AssertionError("strategies listed past the budget")
 
-        monkeypatch.setattr(solver, "enumerate_memoryless", unreachable)
+        monkeypatch.setattr(games, "MemorylessStrategy", unreachable)
+        monkeypatch.setattr(solver, "_play_tree_values", unreachable)
         with pytest.raises(BudgetExceededError,
                            match="^2 memoryless profiles exceed budget 1$"):
             solve_enumerative(two_branch_gadget(), mean_sequence(), budget=1)
@@ -222,6 +223,92 @@ class TestPlayTreeTable:
         report = solve_enumerative(g, mean_sequence())
         assert sum(map(len, report.table)) == 30
         assert 0 < Counted.walks < 30
+
+
+class TestMembersBuiltOnRead:
+    @staticmethod
+    def _count_decoded(monkeypatch) -> list:
+        built = []
+
+        class Counted(games.MemorylessStrategy):
+            def __init__(self, choice):
+                built.append(choice)
+                super().__init__(choice)
+
+        monkeypatch.setattr(games, "MemorylessStrategy", Counted)
+        return built
+
+    def test_solve_decodes_only_the_optimal_strategies(self, monkeypatch):
+        # 60 strategies of 3,541 choices each: the solve reads only the
+        # row minima and column maxima, and decodes the two it returns.
+        built = self._count_decoded(monkeypatch)
+        report = solve_enumerative(cycle_choice_gadget(60), mean_sequence())
+        assert len(report.p1_strategies) == 60
+        assert len(report.p2_strategies) == 1
+        assert len(built) <= 2
+        assert report.p1_optimal is report.p1_strategies[0]
+        assert len(built) <= 2
+
+    @pytest.mark.parametrize("g", TABLE_GAMES[:6] + BINARY_GAMES[:6])
+    def test_strategies_follow_enumeration_order(self, g):
+        report = solve_enumerative(g, parse_sequence("disc:1/2"))
+        for player, strategies in ((1, report.p1_strategies),
+                                   (2, report.p2_strategies)):
+            expected = list(enumerate_memoryless(g, player))
+            assert list(strategies) == expected
+            assert ([s.describe() for s in strategies]
+                    == [s.describe() for s in expected])
+            assert all(strategies[i] is strategies[i]
+                       for i in range(-len(strategies), len(strategies)))
+            with pytest.raises(IndexError):
+                strategies[len(strategies)]
+        assert any(s is report.p1_optimal for s in report.p1_strategies)
+        assert any(s is report.p2_optimal for s in report.p2_strategies)
+
+    @pytest.mark.parametrize("mode", [LIMINF, LIMSUP])
+    def test_table_is_built_once_on_read(self, mode):
+        seq = parse_sequence("blocks:2,1;mu=1")
+        for g in TABLE_GAMES + [CIRCULANT]:
+            report = solve_enumerative(g, seq, mode=mode)
+            assert "table" not in vars(report)
+            table = report.table
+            assert table == _reference_table(g, seq, mode)[0]
+            assert report.table is table
+
+    def test_check_decodes_only_the_responses_at_the_saddle_key(
+            self, monkeypatch):
+        # Player 2 beats both of player 1's strategies that hold the
+        # saddle value, out of 9, so the search decodes exactly those.
+        decoded = []
+        getitem = games.MemorylessStrategies.__getitem__
+
+        def recording(strategies, index):
+            decoded.append((strategies, index))
+            return getitem(strategies, index)
+
+        reports = []
+        solve = solver.solve_enumerative
+
+        def keep(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(games.MemorylessStrategies, "__getitem__",
+                            recording)
+        monkeypatch.setattr(solver, "solve_enumerative", keep)
+        verdict = check_memoryless(random_game(9),
+                                   parse_sequence("blocks:2,1;mu=1"))
+        assert verdict.kind == VerdictKind.WITNESS_FOUND
+        assert verdict.witness.player == 2
+        [report] = reports
+        level = max(report.row_min_keys)
+        for strategies, keys in ((report.p1_strategies, report.row_min_keys),
+                                 (report.p2_strategies, report.col_max_keys)):
+            read = {i for s, i in decoded if s is strategies}
+            assert read <= {i for i, key in enumerate(keys) if key == level}
+        read = {i for s, i in decoded if s is report.p1_strategies}
+        assert read == {2, 8}
+        assert len(report.p1_strategies) == 9
 
 
 class TestValueIteration:
