@@ -226,8 +226,9 @@ class TestPlayTreeTable:
 
 
 class TestMembersBuiltOnRead:
-    @staticmethod
-    def _count_decoded(monkeypatch) -> list:
+    def test_solve_decodes_only_the_optimal_strategies(self, monkeypatch):
+        # 60 strategies of 3,541 choices each: the solve reads only the
+        # row minima and column maxima, and decodes the two it returns.
         built = []
 
         class Counted(games.MemorylessStrategy):
@@ -236,12 +237,6 @@ class TestMembersBuiltOnRead:
                 super().__init__(choice)
 
         monkeypatch.setattr(games, "MemorylessStrategy", Counted)
-        return built
-
-    def test_solve_decodes_only_the_optimal_strategies(self, monkeypatch):
-        # 60 strategies of 3,541 choices each: the solve reads only the
-        # row minima and column maxima, and decodes the two it returns.
-        built = self._count_decoded(monkeypatch)
         report = solve_enumerative(cycle_choice_gadget(60), mean_sequence())
         assert len(report.p1_strategies) == 60
         assert len(report.p2_strategies) == 1
