@@ -15,7 +15,6 @@ import random
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Union
 
 from .errors import GameFormatError
 from .sequences import RatLike, as_rational, parse_rational
@@ -110,53 +109,45 @@ class FiniteMemoryStrategy:
 
     The memory starts at 0, the edge choice depends on (memory, state),
     and the memory is updated on every arrival: after moving to q' the
-    new memory is update[(memory, q')].
+    new memory is update[(memory, q')].  A memoryless strategy is the
+    one-state automaton, with choice[(0, q)] its edge at q and update 0.
     """
 
-    memory_size: int
     choice: dict[tuple[int, str], Edge]
     update: dict[tuple[int, str], int]
 
 
-Strategy = Union[MemorylessStrategy, FiniteMemoryStrategy]
-
-
-def _pick(strategy: Strategy, mem: int, q: str) -> Edge:
-    if isinstance(strategy, MemorylessStrategy):
-        return strategy.choice[q]
-    return strategy.choice[(mem, q)]
-
-
-def _advance(strategy: Strategy, mem: int, arrived: str) -> int:
-    if isinstance(strategy, MemorylessStrategy):
-        return 0
-    return strategy.update[(mem, arrived)]
-
-
-def induced_lasso(g: GameGraph, p1: Strategy, p2: Strategy) -> LassoWord:
+def induced_lasso(g: GameGraph, p1: MemorylessStrategy | FiniteMemoryStrategy,
+                  p2: MemorylessStrategy | FiniteMemoryStrategy) -> LassoWord:
     """Simulate the unique play of the profile (p1, p2) and return its
     reward lasso.
 
+    Each seat's strategy is read once as the choice and update tables
+    of its memory automaton, a memoryless one as the one-state automaton.
     The play is cut at the first repeated (state, memory, memory)
     configuration, so the result has prefix+cycle length at most |Q|
     times the product of the memory sizes.
     """
-    q = g.start
-    m1 = m2 = 0
+    tables = []
+    for strategy in (p1, p2):
+        if isinstance(strategy, MemorylessStrategy):
+            strategy = FiniteMemoryStrategy(
+                {(0, q): edge for q, edge in strategy.choice.items()},
+                dict.fromkeys(((0, q) for q in g.states), 0))
+        tables.append((strategy.choice, strategy.update))
+    (choice1, update1), (choice2, update2) = tables
+    q, m1, m2 = g.start, 0, 0
     rewards: list[Fraction] = []
     seen: dict[tuple, int] = {}
     config = (q, m1, m2)
     while config not in seen:
         seen[config] = len(rewards)
-        strategy = p1 if g.owner(q) == 1 else p2
-        mem = m1 if g.owner(q) == 1 else m2
-        edge = _pick(strategy, mem, q)
+        edge = choice1[m1, q] if g.owner(q) == 1 else choice2[m2, q]
         if edge.src != q:
             raise ValueError(f"strategy chose edge {edge} from state {q!r}")
         rewards.append(edge.weight)
         q = edge.dst
-        m1 = _advance(p1, m1, q)
-        m2 = _advance(p2, m2, q)
+        m1, m2 = update1[m1, q], update2[m2, q]
         config = (q, m1, m2)
     cut = seen[config]
     return LassoWord(tuple(rewards[:cut]), tuple(rewards[cut:]))

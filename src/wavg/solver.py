@@ -352,11 +352,6 @@ def _deviation_edges(g: GameGraph, deviator: int,
             for q in g.states}
 
 
-def _improves(deviator: int, phi: Fraction, value: Fraction) -> bool:
-    """Whether ``phi`` beats ``value`` for the deviator (1 maximizes)."""
-    return phi > value if deviator == 1 else phi < value
-
-
 def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
     """The moves of ``options`` as (destination, sign * gain, reward),
     signed so that beating the value is positive: the deviator's sign (1
@@ -886,12 +881,10 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
         responses = (strategies[i] for i, key in enumerate(keys)
                      if key == level)
         first: Optional[DeviationWitness] = None
-        beats_every_response = True
         for response in responses:
             options = _deviation_edges(g, deviator, response, moves)
             if not growing and not _best_response(g, options, deviator, seq,
                                                   spend):
-                beats_every_response = False
                 break
             spend(table)
             table = 0
@@ -900,10 +893,9 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                 if complete:
                     raise RuntimeError(
                         "deviation search missed the best response's play")
-                beats_every_response = False
                 break
             phi = eval_exact(seq, word, mode).exact
-            if not _improves(deviator, phi, value):
+            if not (phi > value if deviator == 1 else phi < value):
                 raise RuntimeError(
                     "deviation search disagrees with the exact evaluator")
             if first is None:
@@ -917,7 +909,8 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                     lasso=word,
                     opponent=response,
                 )
-        if beats_every_response and first is not None:
+        else:
+            # Every response, and the saddle key has one, is beaten.
             return Verdict(VerdictKind.WITNESS_FOUND, first, mem_bound, budget)
     return Verdict(VerdictKind.NO_WITNESS_UP_TO_BOUND, None, mem_bound, budget)
 
@@ -948,9 +941,17 @@ def _words_by_length(alphabet: Sequence[Fraction], max_len: int,
             for word in itertools.product(alphabet, repeat=length)]
 
 
-def _count_words(size: int, max_len: int, min_len: int) -> int:
-    """How many words _words_by_length lists over ``size`` letters."""
-    return sum(size ** n for n in range(min_len, max_len + 1))
+def _count_words(size: int, max_len: int, min_len: int, cap: int) -> int:
+    """How many words _words_by_length lists over ``size`` letters, or
+    some larger number than ``cap`` once the count passes it."""
+    if size == 1:
+        return max(0, max_len - min_len + 1)
+    count = 0
+    for n in range(min_len, max_len + 1):
+        count += size ** n
+        if count > cap:
+            break
+    return count
 
 
 def _order_bits(row: list[Fraction]) -> tuple[int, int]:
@@ -1003,12 +1004,14 @@ def monotone_falsify(seq: CoeffSeq, alphabet, max_prefix_len: int,
     if not alphabet:
         raise ValueError("alphabet must be nonempty")
     shortest = 1 if nonempty_only else 0
-    if (_count_words(len(set(alphabet)), max_prefix_len, shortest) < 2
+    if (_count_words(len(set(alphabet)), max_prefix_len, shortest, 1) < 2
             or max_cycle_len < 1):
         raise ValueError("the search needs two distinct prefixes and a "
                          "cycle; raise the prefix or cycle bound")
-    remaining = budget - (_count_words(len(alphabet), max_prefix_len, shortest)
-                          * _count_words(len(alphabet), max_cycle_len, 1))
+    # Each count is exact up to the budget, and both are at least 1.
+    remaining = budget - (
+        _count_words(len(alphabet), max_prefix_len, shortest, budget)
+        * _count_words(len(alphabet), max_cycle_len, 1, budget))
     if remaining < 0:
         raise BudgetExceededError("monotonicity search exceeded its budget")
     _exact_checks(seq, mode)

@@ -51,7 +51,7 @@ def _alternating_strategy(g) -> FiniteMemoryStrategy:
     update = {(m, q): m for m in (0, 1) for q in ("left", "right")}
     update[(0, "hub")] = 1
     update[(1, "hub")] = 0
-    return FiniteMemoryStrategy(2, choice, update)
+    return FiniteMemoryStrategy(choice, update)
 
 
 def test_criterion_1_two_branch_reproduction():

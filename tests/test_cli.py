@@ -1,7 +1,10 @@
 """CLI surface: commands, exit codes, structured output."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -13,7 +16,8 @@ from wavg import (cli, random_game, serialize_game, solver,
 from wavg.cli import main
 
 F = Fraction
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -349,6 +353,18 @@ class TestFindWitnessAndMonotone:
         assert code == 2
         assert "no exact evaluator" in err
 
+    @pytest.mark.parametrize("bound", ["--max-prefix", "--max-cycle"])
+    def test_monotone_refusal_counts_no_further_than_the_budget(self, capsys,
+                                                               bound):
+        # Summing the 2**n words of every length up to 100000 exactly
+        # took 20 s before the budget refused them.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "monotone", "--seq", "mean", bound,
+                             "100000")
+        assert code == 3
+        assert out == "" and "budget" in err
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("bound", [["--max-prefix", "-1"],
                                        ["--max-cycle", "0"],
                                        ["--max-prefix", "0"]])
@@ -424,6 +440,15 @@ class TestVerifyPaper:
         doc = json.loads(out)
         assert doc["overall"] is True
         assert len(doc["checks"]) >= 20
+
+    def test_module_entry_point(self):
+        # What `python -m wavg` runs, in a fresh interpreter.
+        done = subprocess.run(
+            [sys.executable, "-m", "wavg", "verify-paper", "--format",
+             "structured"], capture_output=True, timeout=60, cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == (GOLDEN / "verify-paper.json").read_bytes()
 
     def test_corrupted_evaluator_fails_counterexample_check(
             self, capsys, monkeypatch):

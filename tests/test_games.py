@@ -1,5 +1,6 @@
 """Game graphs, strategies, play extraction, gadgets and the file format."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ def alternating_two_branch() -> FiniteMemoryStrategy:
     update = {(m, q): m for m in (0, 1) for q in ("left", "right")}
     update[(0, "hub")] = 1
     update[(1, "hub")] = 0
-    return FiniteMemoryStrategy(2, choice, update)
+    return FiniteMemoryStrategy(choice, update)
 
 
 class TestGraphInvariants:
@@ -141,6 +142,50 @@ class TestInducedLasso:
         word = induced_lasso(
             g, MemorylessStrategy({}), alternating_two_branch())
         assert word == lasso((), (1, 2, 0, 4))
+
+    def test_memory_in_player_one_seat(self):
+        g = two_branch_gadget(owner=1)
+        word = induced_lasso(
+            g, alternating_two_branch(), MemorylessStrategy({}))
+        assert word == lasso((), (1, 2, 0, 4))
+
+    def test_memory_in_both_seats(self):
+        # Player 1 alternates at the hub, right first; player 2 counts
+        # arrivals at the hub mod 3 and returns by the first edge on 0.
+        # The play repeats when both memories do, after six round trips:
+        # a cut at the first repeated (state, m1) would take two.
+        edges = (Edge("hub", "left", F(0)), Edge("hub", "right", F(1)),
+                 Edge("left", "hub", F(2)), Edge("left", "hub", F(3)),
+                 Edge("right", "hub", F(4)), Edge("right", "hub", F(5)))
+        g = GameGraph(("hub", "left", "right"),
+                      {"hub": 1, "left": 2, "right": 2}, edges, "hub")
+        p1 = FiniteMemoryStrategy(
+            {(0, "hub"): edges[1], (1, "hub"): edges[0]},
+            {(m, q): 1 - m if q == "hub" else m
+             for m in (0, 1) for q in g.states})
+        p2 = FiniteMemoryStrategy(
+            {(m, q): g.out_edges(q)[min(m, 1)]
+             for m in range(3) for q in ("left", "right")},
+            {(m, q): (m + 1) % 3 if q == "hub" else m
+             for m in range(3) for q in g.states})
+        assert induced_lasso(g, p1, p2) == lasso(
+            (), (1, 4, 0, 3, 1, 5, 0, 2, 1, 5, 0, 3))
+
+    def test_automaton_is_its_two_tables(self):
+        s = alternating_two_branch()
+        assert FiniteMemoryStrategy(choice=s.choice, update=s.update) == s
+        assert [f.name for f in dataclasses.fields(FiniteMemoryStrategy)] \
+            == ["choice", "update"]
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 500))
+    def test_memoryless_is_a_one_state_automaton(self, seed):
+        g = random_game(seed)
+        profile = [next(enumerate_memoryless(g, p)) for p in (1, 2)]
+        automata = [FiniteMemoryStrategy(
+            {(0, q): edge for q, edge in s.choice.items()},
+            {(0, q): 0 for q in g.states}) for s in profile]
+        assert induced_lasso(g, *automata) == induced_lasso(g, *profile)
 
     def test_deterministic(self):
         g = two_branch_gadget()

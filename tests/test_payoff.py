@@ -72,6 +72,10 @@ class TestEvalExact:
         with pytest.raises(UnsupportedSequenceError):
             eval_exact(parse_sequence("table:1,1"), lasso((), (1,)))
 
+    def test_only_a_coefficient_sequence_has_a_closed_form(self):
+        assert supports_exact(RawCoeffTable((1, 1))) is False
+        assert supports_exact("mean") is False
+
     def test_unsupported_growing_block(self):
         seq = CoeffSeq((3,), (1, -1), 2)
         assert not supports_exact(seq)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +23,13 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
 from wavg import games, solver, verify
 
 F = Fraction
+
+
+def _beats(deviator, phi, value):
+    """Whether phi beats value for the deviator, player 1 maximizing.  The
+    references below state the rule themselves, so that a fault in the
+    engine's own comparison cannot hide in them."""
+    return phi > value if deviator == 1 else phi < value
 
 
 class TestSolveEnumerative:
@@ -575,7 +583,7 @@ def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
             spend(depth - cut)
             phi = eval_exact(seq, LassoWord(tuple(gains[:cut]),
                                             tuple(gains[cut:])), mode).exact
-            if solver._improves(deviator, phi, 0):
+            if _beats(deviator, phi, 0):
                 key = (depth - cut, cut, tuple(trail))
                 if best is None or key < best[0]:
                     best = (key, LassoWord(tuple(rewards[:cut]),
@@ -833,7 +841,7 @@ def _positional_product_oracle(g, opponent, deviator, seq, value):
             continue
         word = LassoWord(tuple(rewards[:cut]),
                          tuple(rewards[cut:]) + (edge.weight,))
-        if solver._improves(deviator, eval_exact(seq, word).exact, value):
+        if _beats(deviator, eval_exact(seq, word).exact, value):
             return True
     return False
 
@@ -1156,6 +1164,13 @@ class TestMonotoneFalsify:
         with pytest.raises(BudgetExceededError,
                            match="^monotonicity search exceeded its budget$"):
             monotone_falsify(mean_sequence(), (0, 1), 20, 2, budget=1_000)
+        # One letter gives one word per length: 10**7 + 1 prefixes pass
+        # the default budget without a sum over every length.
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match="^monotonicity search exceeded its budget$"):
+            monotone_falsify(mean_sequence(), (0,), 10**7, 1)
+        assert time.perf_counter() - start < 1
         # Too few distinct prefixes is an input error, whatever the budget.
         with pytest.raises(ValueError):
             monotone_falsify(mean_sequence(), (0, 0), 1, 2, nonempty_only=True,
@@ -1201,8 +1216,8 @@ class TestFindWitness:
         witness = report.verdict.witness
         assert format_lasso(witness.lasso) == lasso_text
         assert witness.deviating_payoff == payoff
-        assert solver._improves(witness.player, witness.deviating_payoff,
-                                witness.memoryless_payoff)
+        assert _beats(witness.player, witness.deviating_payoff,
+                      witness.memoryless_payoff)
         return witness
 
     @pytest.mark.parametrize("spec, lasso_text, payoff", [
