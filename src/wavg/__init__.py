@@ -18,15 +18,14 @@ from .payoff import (LIMINF, LIMSUP, PayoffValue, disc_sum, eval_approx,
                      eval_exact, mean_payoff, rotation_values, supports_exact)
 from .sequences import (Classification, CoeffSeq, RawCoeffTable, SeqAnalysis,
                         admit, analyze, as_rational, discounted,
-                        first_zero_partial_sum, geometric, geometric_ratio,
-                        mean_sequence, parse_rational, parse_sequence,
-                        partial_sum)
+                        first_zero_partial_sum, geometric, mean_sequence,
+                        parse_rational, parse_sequence, partial_sum)
 from .solver import (DeviationWitness, MonotonicityWitness, SolveReport,
                      SequenceWitnessReport, ValueIteration, Verdict,
                      VerdictKind, check_memoryless,
                      find_witness_sequence_failure, monotone_falsify,
                      solve_enumerative, value_iter_disc, value_iter_mean)
 from .verify import PaperCheck, PaperCheckReport, verify_paper
-from .words import LassoWord, format_lasso, lasso, parse_lasso
+from .words import LassoWord, format_lasso, parse_lasso
 
 __version__ = "0.1.0"

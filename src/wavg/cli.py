@@ -44,13 +44,22 @@ def _two_branch(args: str) -> games.GameGraph:
     return games.two_branch_gadget()
 
 
+def _spike(args: str) -> games.GameGraph:
+    try:
+        k = int(args)
+    except ValueError:
+        raise InputError(
+            f"builtin:spike takes an integer, got {args!r}") from None
+    return games.cycle_choice_gadget(k)
+
+
 _BUILTIN_GADGETS = {
     "two-branch": _two_branch,
     "loops": lambda args: games.loops_gadget(
         [sequences.parse_rational(t) for t in args.split(",")]),
     "escape": lambda args: games.escape_gadget(sequences.parse_rational(args)),
     "detour": lambda args: games.detour_gadget(*_rewards(args, 3)),
-    "spike": lambda args: games.cycle_choice_gadget(int(args)),
+    "spike": _spike,
 }
 
 

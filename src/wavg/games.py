@@ -204,17 +204,17 @@ def count_memoryless(g: GameGraph, player: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Gadget constructors (one-player graphs with a configurable owner)
+# Gadget constructors (player-1 graphs; two_branch_gadget takes an owner)
 # ---------------------------------------------------------------------------
 
-def loops_gadget(weights, owner: int = 1) -> GameGraph:
+def loops_gadget(weights) -> GameGraph:
     """A single state with one self-loop per given weight."""
     weights = [as_rational(w) for w in weights]
     edges = tuple(Edge("s", "s", w) for w in weights)
-    return GameGraph(("s",), {"s": owner}, edges, "s")
+    return GameGraph(("s",), {"s": 1}, edges, "s")
 
 
-def escape_gadget(w: RatLike, owner: int = 1) -> GameGraph:
+def escape_gadget(w: RatLike) -> GameGraph:
     """A reward-1 self-loop with a one-shot exit of reward w to a 0-loop sink."""
     w = as_rational(w)
     edges = (
@@ -222,38 +222,34 @@ def escape_gadget(w: RatLike, owner: int = 1) -> GameGraph:
         Edge("stay", "out", w),
         Edge("out", "out", Fraction(0)),
     )
-    return GameGraph(("stay", "out"), {"stay": owner, "out": owner}, edges, "stay")
+    return GameGraph(("stay", "out"), {"stay": 1, "out": 1}, edges, "stay")
 
 
-def detour_gadget(out: RatLike, back: RatLike, loop: RatLike,
-                  owner: int = 1) -> GameGraph:
+def detour_gadget(out: RatLike, back: RatLike, loop: RatLike) -> GameGraph:
     """A self-loop of reward ``loop`` plus a two-edge detour out/back."""
     edges = (
         Edge("base", "base", as_rational(loop)),
         Edge("base", "away", as_rational(out)),
         Edge("away", "base", as_rational(back)),
     )
-    return GameGraph(("base", "away"), {"base": owner, "away": owner}, edges, "base")
+    return GameGraph(("base", "away"), {"base": 1, "away": 1}, edges, "base")
 
 
-def cycle_choice_gadget(k: int, owner: int = 1) -> GameGraph:
+def cycle_choice_gadget(k: int) -> GameGraph:
     """A hub choosing among k length-k cycles; cycle i carries reward 1
     on its (i+1)-th edge and 0 elsewhere."""
     if k < 1:
         raise ValueError("k must be at least 1")
     states = ["hub"]
-    owners = {"hub": owner}
     edges: list[Edge] = []
     for i in range(k):
         chain = [f"c{i}s{j}" for j in range(1, k)]
-        for name in chain:
-            states.append(name)
-            owners[name] = owner
+        states.extend(chain)
         nodes = ["hub"] + chain + ["hub"]
         for step in range(k):
             edges.append(Edge(nodes[step], nodes[step + 1],
                               Fraction(1 if step == i else 0)))
-    return GameGraph(tuple(states), owners, tuple(edges), "hub")
+    return GameGraph(tuple(states), dict.fromkeys(states, 1), tuple(edges), "hub")
 
 
 def two_branch_gadget(left=(0, 4), right=(1, 2), owner: int = 2) -> GameGraph:

@@ -57,10 +57,9 @@ class PayoffValue:
         return f"bracket[{lo}, {hi}] horizon={self.horizon_used}"
 
 
-def _check_mode(mode: str) -> str:
+def _check_mode(mode: str) -> None:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    return mode
 
 
 def mean_payoff(word: LassoWord) -> Fraction:

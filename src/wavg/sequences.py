@@ -274,24 +274,6 @@ def analyze(seq: CoeffSeq) -> SeqAnalysis:
                        inv_psum_limsup=max(points))
 
 
-def geometric_ratio(seq: CoeffSeq) -> Optional[Fraction]:
-    """The ratio lam with c_{i+1} = lam * c_i for every i, if one exists.
-
-    Decided over the normal form: explicit checks through the prefix and
-    one full block, plus the block-wrap condition, cover all indices.
-    """
-    lam = seq.term(1) / seq.term(0)
-    for i in range(seq.prefix_len):
-        if seq.term(i + 1) != lam * seq.term(i):
-            return None
-    for j in range(seq.period - 1):
-        if seq.block[j + 1] != lam * seq.block[j]:
-            return None
-    if seq.block[0] * seq.ratio != lam * seq.block[-1]:
-        return None
-    return lam
-
-
 def mean_sequence() -> CoeffSeq:
     """The all-ones sequence (plain averaging)."""
     return CoeffSeq((), (Fraction(1),), Fraction(1))

@@ -246,7 +246,6 @@ class ValueIteration:
 
     values: dict[str, Fraction]
     error_bound: Fraction
-    steps: int
 
 
 def _int_moves(g: GameGraph,
@@ -295,7 +294,7 @@ def value_iter_disc(g: GameGraph, lam, iterations: int) -> ValueIteration:
     unit = scale * b ** iterations
     bound = lam ** iterations * g.max_abs_weight()
     return ValueIteration(values={q: Fraction(u[q], unit) for q in g.states},
-                          error_bound=bound, steps=iterations)
+                          error_bound=bound)
 
 
 def value_iter_mean(g: GameGraph, steps: int) -> ValueIteration:
@@ -310,7 +309,7 @@ def value_iter_mean(g: GameGraph, steps: int) -> ValueIteration:
     u, scale = _integer_iteration(g, steps, 1, 1, 1)
     estimates = {q: Fraction(u[q], scale * steps) for q in g.states}
     bound = Fraction(2 * len(g.states)) * g.max_abs_weight() / steps
-    return ValueIteration(values=estimates, error_bound=bound, steps=steps)
+    return ValueIteration(values=estimates, error_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1134,7 +1133,7 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     else:
         ws = (1,)
     for w in ws:
-        candidates.append((f"escape_gadget({w})", escape_gadget(w, owner=1)))
+        candidates.append((f"escape_gadget({w})", escape_gadget(w)))
     if an.classification is Classification.DIVERGENT_UNBOUNDED:
         candidates.append(("two_branch_gadget()", two_branch_gadget()))
         candidates.append(("two_branch_gadget((0,1),(1,0))",
@@ -1148,7 +1147,7 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
         for out, back, loop in _detour_triples(lam):
             candidates.append(
                 (f"detour_gadget({out},{back},{loop})",
-                 detour_gadget(out, back, loop, owner=1)))
+                 detour_gadget(out, back, loop)))
     for description, game in candidates:
         if len(tried) >= budget:
             raise BudgetExceededError(

@@ -120,14 +120,14 @@ def verify_paper() -> PaperCheckReport:
           payoff.mean_payoff(LassoWord((), (1, 2, 0, 4))))
 
     # One-player loop gadgets
-    g_loops = games.loops_gadget((1, 0), owner=1)
+    g_loops = games.loops_gadget((1, 0))
     loop_report = solver.solve_enumerative(g_loops, mean)
     check("loop pair maximin", Fraction(1), loop_report.maximin.exact)
     check("loop pair alternative", {Fraction(0), Fraction(1)},
           {row[0] for row in loop_report.table})
 
     # Detour gadget with the sign-split rewards
-    g_detour = games.detour_gadget(1, -1, 0, owner=1)
+    g_detour = games.detour_gadget(1, -1, 0)
     detour_words = {
         games.induced_lasso(g_detour, s, games.MemorylessStrategy({}))
         for s in games.enumerate_memoryless(g_detour, 1)

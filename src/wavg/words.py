@@ -31,11 +31,6 @@ class LassoWord:
         return len(self.cycle)
 
 
-def lasso(prefix=(), cycle=()) -> LassoWord:
-    """Convenience constructor accepting ints/strings."""
-    return LassoWord(tuple(prefix), tuple(cycle))
-
-
 def parse_lasso(text: str) -> LassoWord:
     """Parse 'prefix=r0,r1,...;cycle=s0,s1,...' (prefix part optional)."""
     parts: dict[str, tuple[Fraction, ...]] = {}

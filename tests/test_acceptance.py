@@ -15,7 +15,7 @@ import pytest
 from wavg import (LassoWord, MemorylessStrategy, VerdictKind,
                   check_memoryless, cycle_choice_gadget, detour_gadget,
                   disc_sum, discounted, eval_approx, eval_exact, geometric,
-                  induced_lasso, lasso, mean_payoff, mean_sequence,
+                  induced_lasso, mean_payoff, mean_sequence,
                   monotone_falsify, parse_sequence, random_game,
                   rotation_values, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
@@ -67,7 +67,7 @@ def test_criterion_1_two_branch_reproduction():
 
     alternating = induced_lasso(
         g, MemorylessStrategy({}), _alternating_strategy(g))
-    assert alternating == lasso((), (1, 2, 0, 4))
+    assert alternating == LassoWord((), (1, 2, 0, 4))
     assert set(rotation_values(2, alternating.cycle)) == {
         F(37, 15), F(26, 15), F(28, 15), F(14, 15)}
     assert eval_exact(seq, alternating).exact == F(14, 15)
@@ -104,8 +104,8 @@ def test_criterion_3_spike_values():
     seq = mean_sequence()
     for k in range(1, 7):
         for i in range(k):
-            pos = lasso((), tuple(int(j == i) for j in range(k)))
-            neg = lasso((), tuple(-int(j == i) for j in range(k)))
+            pos = LassoWord((), tuple(int(j == i) for j in range(k)))
+            neg = LassoWord((), tuple(-int(j == i) for j in range(k)))
             assert eval_exact(seq, pos).exact == F(1, k)
             assert eval_exact(seq, neg).exact == F(-1, k)
             _register(seq, pos)
@@ -170,7 +170,7 @@ def test_criterion_6_convergent_refutation_witness():
     assert verdict.witness.deviating_payoff == F(151, 48)
     assert verdict.witness.memoryless_payoff == 3
     word = verdict.witness.lasso
-    assert word == lasso((3, 4, 1), (3,))
+    assert word == LassoWord((3, 4, 1), (3,))
     lo, hi = eval_approx(seq, word, 100).bracket
     assert lo <= F(151, 48) <= hi
     _register(seq, word)
@@ -182,7 +182,7 @@ def test_criterion_6_convergent_refutation_witness():
 def test_criterion_7_periodic_refutation_witness():
     start = time.monotonic()
     seq = parse_sequence("blocks:2,1;mu=1")
-    word = lasso((), (1, 0))
+    word = LassoWord((), (1, 0))
     assert eval_exact(seq, word).exact == F(2, 3)
     assert mean_payoff(word) == F(1, 2)
     _register(seq, word)

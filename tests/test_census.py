@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from wavg import (LIMINF, LIMSUP, find_witness_sequence_failure,
-                  geometric_ratio, parse_sequence)
+                  parse_sequence)
 
 BLOCKS = [",".join(block) for length in (1, 2, 3)
           for block in itertools.product("12", repeat=length)]
@@ -20,9 +20,13 @@ GRID = [f"blocks:{block};mu={mu}{prefix}" for block in BLOCKS
 
 def classical(seq) -> bool:
     """Payoff-equal to discounted sum (c_i proportional to lam**i, lam < 1)
-    or to mean (lam = 1, or ratio 1 with a constant block)."""
-    lam = geometric_ratio(seq)
-    return ((lam is not None and lam <= 1)
+    or to mean (lam = 1, or ratio 1 with a constant block).  The terms are
+    geometric iff c_(i+1) * c_0 = c_1 * c_i through the first block
+    repetition, since every later relation repeats a checked one."""
+    c0, c1 = seq.term(0), seq.term(1)
+    geometric = all(seq.term(i + 1) * c0 == c1 * seq.term(i)
+                    for i in range(seq.prefix_len + seq.period))
+    return ((geometric and c1 / c0 <= 1)
             or (seq.ratio == 1 and len(set(seq.block)) == 1))
 
 

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, structured output."""
 
+import inspect
 import json
 import os
 import pathlib
@@ -11,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 import wavg.payoff
-from wavg import (cli, random_game, serialize_game, solver,
+from wavg import (cli, escape_gadget, monotone_falsify, parse_sequence,
+                  random_game, serialize_game, solve_enumerative, solver,
                   two_branch_gadget)
 from wavg.cli import main
 
@@ -121,6 +123,13 @@ class TestSolve:
         assert code == 0
         assert "maximin  = 4/3" in out
         assert "minimax  = 4/3" in out
+
+    def test_builtin_escape(self, capsys):
+        code, out, _ = run(capsys, "solve", "--game", "builtin:escape:3",
+                           "--seq", "disc:1/2", "--format", "structured")
+        assert code == 0
+        report = solve_enumerative(escape_gadget(3), parse_sequence("disc:1/2"))
+        assert F(json.loads(out)["maximin"]) == report.maximin.exact == F(3, 2)
 
     def test_game_file(self, capsys, tmp_path):
         path = tmp_path / "game.txt"
@@ -292,8 +301,13 @@ def _assert_bad_input(code, out, err, message):
       "--mem-bound", "-1"), "mem_bound must be nonnegative"),
     (("check-memoryless", "--game", "builtin:spike:0", "--seq", "mean"),
      "k must be at least 1"),
+    (("check-memoryless", "--game", "builtin:spike:abc", "--seq", "mean"),
+     "builtin:spike takes an integer, got 'abc'"),
+    (("check-memoryless", "--game", "builtin:spike:", "--seq", "mean"),
+     "builtin:spike takes an integer, got ''"),
 ], ids=["seq-spec", "blocks-option", "empty-table", "table-zero-first",
-        "empty-cycle", "lasso-no-eq", "lasso-key", "mem-bound", "spike-0"])
+        "empty-cycle", "lasso-no-eq", "lasso-key", "mem-bound", "spike-0",
+        "spike-word", "spike-empty"])
 def test_bad_argument_is_bad_input(capsys, argv, message):
     _assert_bad_input(*run(capsys, *argv), message)
 
@@ -343,6 +357,17 @@ class TestFindWitnessAndMonotone:
         code, out, _ = run(capsys, "monotone", "--seq", "blocks:2,1;mu=1")
         assert code == 1
         assert "2/3" in out
+
+    def test_monotone_nonempty(self, capsys):
+        argv = ("monotone", "--seq", "blocks:2,1;mu=1", "--alphabet=0,1")
+        _, plain, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--nonempty")
+        assert code == 1
+        assert plain.startswith("witness: x=() y=(0) ")
+        assert out.startswith("witness: x=(0) y=(0,0) ")
+        w = monotone_falsify(parse_sequence("blocks:2,1;mu=1"), (0, 1), 2, 2,
+                             nonempty_only=True)
+        assert (w.x, w.y) == ((0,), (0, 0))
 
     def test_monotone_absent(self, capsys):
         code, out, _ = run(capsys, "monotone", "--seq", "mean")
@@ -418,6 +443,12 @@ class TestStructuredOutput:
         assert isinstance(elapsed, float) and elapsed >= 0
         assert timed_doc == doc
 
+    def test_seed_is_recorded(self, capsys):
+        _, out, _ = run(capsys, "solve", "--game", "builtin:two-branch",
+                        "--seq", "mean", "--format", "structured",
+                        "--seed", "7")
+        assert json.loads(out)["seed"] == 7
+
     def test_check_memoryless_structured(self, capsys):
         code, out, _ = run(capsys, "check-memoryless", "--game",
                            "builtin:two-branch", "--seq", "geom:2",
@@ -426,6 +457,26 @@ class TestStructuredOutput:
         assert doc["verdict"] == "witness-found"
         assert F(doc["witness"]["deviating_payoff"]) == F(14, 15)
         assert doc["bounds"]["mem_bound"] == 2
+
+
+@pytest.mark.parametrize("argv, function, name", [
+    (("solve", "--game", "g", "--seq", "s"), solver.solve_enumerative,
+     "budget"),
+    (("check-memoryless", "--game", "g", "--seq", "s"),
+     solver.check_memoryless, "mem_bound"),
+    (("check-memoryless", "--game", "g", "--seq", "s"),
+     solver.check_memoryless, "budget"),
+    (("find-witness", "--seq", "s"), solver.find_witness_sequence_failure,
+     "mem_bound"),
+    (("find-witness", "--seq", "s"), solver.find_witness_sequence_failure,
+     "budget"),
+    (("monotone", "--seq", "s"), solver.monotone_falsify, "budget"),
+], ids=["solve-budget", "check-mem-bound", "check-budget",
+        "find-witness-mem-bound", "find-witness-budget", "monotone-budget"])
+def test_cli_default_is_the_library_default(argv, function, name):
+    args = cli.build_parser().parse_args(argv)
+    assert (getattr(args, name)
+            == inspect.signature(function).parameters[name].default)
 
 
 class TestVerifyPaper:

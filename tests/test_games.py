@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavg import (Edge, FiniteMemoryStrategy, GameFormatError, GameGraph,
-                  MemorylessStrategy, count_memoryless,
+                  LassoWord, MemorylessStrategy, count_memoryless,
                   cycle_choice_gadget, detour_gadget, enumerate_memoryless,
-                  escape_gadget, induced_lasso, lasso, loops_gadget,
+                  escape_gadget, induced_lasso, loops_gadget,
                   parse_game, random_game, serialize_game, two_branch_gadget)
 
 F = Fraction
@@ -105,7 +105,7 @@ class TestGadgets:
             induced_lasso(g, *profile_for(g, s, 1))
             for s in enumerate_memoryless(g, 1)
         }
-        assert plays == {lasso((), (0,)), lasso((), (1, -1))}
+        assert plays == {LassoWord((), (0,)), LassoWord((), (1, -1))}
 
     def test_escape_structure(self):
         g = escape_gadget(F(7, 3))
@@ -130,24 +130,25 @@ class TestInducedLasso:
             "right": g.out_edges("right")[0],
         })
         word = induced_lasso(g, MemorylessStrategy({}), left)
-        assert word == lasso((), (0, 4))
+        assert word == LassoWord((), (0, 4))
 
     def test_self_loop(self):
         g = loops_gadget((F(5, 2),))
         s = MemorylessStrategy({"s": g.edges[0]})
-        assert induced_lasso(g, *profile_for(g, s, 1)) == lasso((), (F(5, 2),))
+        assert (induced_lasso(g, *profile_for(g, s, 1))
+                == LassoWord((), (F(5, 2),)))
 
     def test_alternating_memory_strategy(self):
         g = two_branch_gadget()
         word = induced_lasso(
             g, MemorylessStrategy({}), alternating_two_branch())
-        assert word == lasso((), (1, 2, 0, 4))
+        assert word == LassoWord((), (1, 2, 0, 4))
 
     def test_memory_in_player_one_seat(self):
         g = two_branch_gadget(owner=1)
         word = induced_lasso(
             g, alternating_two_branch(), MemorylessStrategy({}))
-        assert word == lasso((), (1, 2, 0, 4))
+        assert word == LassoWord((), (1, 2, 0, 4))
 
     def test_memory_in_both_seats(self):
         # Player 1 alternates at the hub, right first; player 2 counts
@@ -168,7 +169,7 @@ class TestInducedLasso:
              for m in range(3) for q in ("left", "right")},
             {(m, q): (m + 1) % 3 if q == "hub" else m
              for m in range(3) for q in g.states})
-        assert induced_lasso(g, p1, p2) == lasso(
+        assert induced_lasso(g, p1, p2) == LassoWord(
             (), (1, 4, 0, 3, 1, 5, 0, 2, 1, 5, 0, 3))
 
     def test_automaton_is_its_two_tables(self):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from wavg import (CoeffSeq, LassoWord, PayoffValue, RawCoeffTable,
                   UnsupportedSequenceError, analyze, disc_sum, discounted,
-                  eval_approx, eval_exact, geometric, lasso, mean_payoff,
+                  eval_approx, eval_exact, geometric, mean_payoff,
                   mean_sequence, parse_lasso, parse_sequence, random_game,
                   rotation_values, supports_exact)
 
@@ -30,47 +30,48 @@ def approx_contains(seq, word, horizon, expected, mode="liminf"):
 
 class TestEvalExact:
     def test_mean_alternating(self):
-        assert eval_exact(mean_sequence(), lasso((), (1, 0))).exact == F(1, 2)
+        word = LassoWord((), (1, 0))
+        assert eval_exact(mean_sequence(), word).exact == F(1, 2)
 
     def test_constant_word(self):
         for spec in ("mean", "disc:1/2", "geom:2", "blocks:2,1;mu=1"):
             seq = parse_sequence(spec)
-            assert eval_exact(seq, lasso((), (7,))).exact == 7
+            assert eval_exact(seq, LassoWord((), (7,))).exact == 7
 
     def test_doubling_two_cycle(self):
-        assert eval_exact(geometric(2), lasso((), (0, 4))).exact == F(4, 3)
+        assert eval_exact(geometric(2), LassoWord((), (0, 4))).exact == F(4, 3)
 
     def test_doubling_four_cycle(self):
-        value = eval_exact(geometric(2), lasso((), (1, 2, 0, 4))).exact
+        value = eval_exact(geometric(2), LassoWord((), (1, 2, 0, 4))).exact
         assert value == F(14, 15)
 
     def test_discounted_spike(self):
-        value = eval_exact(discounted(F(1, 2)), lasso((1,), (0,))).exact
+        value = eval_exact(discounted(F(1, 2)), LassoWord((1,), (0,))).exact
         assert value == F(1, 2)
         assert value == analyze(discounted(F(1, 2))).inv_psum_liminf
 
     def test_periodic_block(self):
         seq = parse_sequence("blocks:2,1;mu=1")
-        assert eval_exact(seq, lasso((), (1, 0))).exact == F(2, 3)
+        assert eval_exact(seq, LassoWord((), (1, 0))).exact == F(2, 3)
 
     def test_rotation_set(self):
         assert set(rotation_values(2, (1, 2, 0, 4))) == {
             F(37, 15), F(26, 15), F(28, 15), F(14, 15)}
 
     def test_limsup_mode_takes_max_rotation(self):
-        value = eval_exact(geometric(2), lasso((), (1, 2, 0, 4)), "limsup")
+        value = eval_exact(geometric(2), LassoWord((), (1, 2, 0, 4)), "limsup")
         assert value.exact == F(37, 15)
 
     def test_modes_agree_when_limit_exists(self):
         for spec in ("mean", "disc:1/2", "blocks:2,1;mu=1"):
             seq = parse_sequence(spec)
-            word = lasso((3,), (1, 0, 2))
+            word = LassoWord((3,), (1, 0, 2))
             assert (eval_exact(seq, word, "liminf").exact
                     == eval_exact(seq, word, "limsup").exact)
 
     def test_unsupported_table(self):
         with pytest.raises(UnsupportedSequenceError):
-            eval_exact(parse_sequence("table:1,1"), lasso((), (1,)))
+            eval_exact(parse_sequence("table:1,1"), LassoWord((), (1,)))
 
     def test_only_a_coefficient_sequence_has_a_closed_form(self):
         assert supports_exact(RawCoeffTable((1, 1))) is False
@@ -80,7 +81,7 @@ class TestEvalExact:
         seq = CoeffSeq((3,), (1, -1), 2)
         assert not supports_exact(seq)
         with pytest.raises(UnsupportedSequenceError):
-            eval_exact(seq, lasso((), (1,)))
+            eval_exact(seq, LassoWord((), (1,)))
 
     def test_growing_block_phase_limits(self):
         # The six phases of the super-period lcm(2, 3) tend to 5/21, 3/7,
@@ -95,7 +96,7 @@ class TestEvalExact:
         seq = CoeffSeq((1,), (F(-1, 2),), F(1, 2))  # partial sums 2**(1-n)
         assert analyze(seq).series_sum == 0
         with pytest.raises(UnsupportedSequenceError):
-            eval_exact(seq, lasso((), (1, 2)))
+            eval_exact(seq, LassoWord((), (1, 2)))
 
     @settings(max_examples=40)
     @given(lassos(max_prefix=3, max_cycle=4))
@@ -121,9 +122,9 @@ class TestEvalExact:
     def test_spike_words_mean(self):
         for k in range(1, 7):
             for i in range(k):
-                word = lasso((), tuple(int(j == i) for j in range(k)))
+                word = LassoWord((), tuple(int(j == i) for j in range(k)))
                 assert eval_exact(mean_sequence(), word).exact == F(1, k)
-                neg = lasso((), tuple(-int(j == i) for j in range(k)))
+                neg = LassoWord((), tuple(-int(j == i) for j in range(k)))
                 assert eval_exact(mean_sequence(), neg).exact == F(-1, k)
 
     @settings(max_examples=30)
@@ -139,17 +140,17 @@ class TestEvalExact:
 
 class TestDiscSum:
     def test_alternating(self):
-        assert disc_sum(F(1, 2), lasso((), (1, 0))) == F(2, 3)
+        assert disc_sum(F(1, 2), LassoWord((), (1, 0))) == F(2, 3)
 
     def test_constant(self):
-        assert disc_sum(F(1, 4), lasso((), (5,))) == 5
+        assert disc_sum(F(1, 4), LassoWord((), (5,))) == 5
 
     def test_prefixed_spike(self):
-        assert disc_sum(F(1, 2), lasso((1,), (0,))) == F(1, 2)
+        assert disc_sum(F(1, 2), LassoWord((1,), (0,))) == F(1, 2)
 
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
-            disc_sum(F(3, 2), lasso((), (1,)))
+            disc_sum(F(3, 2), LassoWord((), (1,)))
 
     @settings(max_examples=60)
     @given(st.sampled_from([F(1, 4), F(1, 2), F(9, 10)]),
@@ -160,39 +161,39 @@ class TestDiscSum:
 
 class TestEvalApprox:
     def test_mean_bracket(self):
-        got = eval_approx(mean_sequence(), lasso((), (1, 0)), 1000)
+        got = eval_approx(mean_sequence(), LassoWord((), (1, 0)), 1000)
         lo, hi = got.bracket
         assert lo <= F(1, 2) <= hi
         assert hi - lo <= F(2, 1000)
 
     def test_doubling_bracket(self):
-        got = eval_approx(geometric(2), lasso((), (1, 2, 0, 4)), 64)
+        got = eval_approx(geometric(2), LassoWord((), (1, 2, 0, 4)), 64)
         lo, hi = got.bracket
         assert lo <= F(14, 15) <= hi
         assert abs(lo - F(14, 15)) <= F(1, 2 ** 50)
 
     def test_table_constant(self):
         table = parse_sequence("table:" + ",".join(["1"] * 100))
-        got = eval_approx(table, lasso((), (3,)), 99)
+        got = eval_approx(table, LassoWord((), (3,)), 99)
         assert got.bracket == (3, 3)
         assert got.horizon_used == 99
 
     def test_table_horizon_overflow(self):
         with pytest.raises(ValueError):
-            eval_approx(parse_sequence("table:1,1,1"), lasso((), (1,)), 4)
+            eval_approx(parse_sequence("table:1,1,1"), LassoWord((), (1,)), 4)
 
     def test_minimum_horizon_enforced(self):
         with pytest.raises(ValueError):
-            eval_approx(mean_sequence(), lasso((), (1, 0)), 3)
+            eval_approx(mean_sequence(), LassoWord((), (1, 0)), 3)
 
     def test_prefixed_mean_bracket_contains_limit(self):
-        got = eval_approx(mean_sequence(), lasso((5, 5, 5, 5), (1,)), 1000)
+        got = eval_approx(mean_sequence(), LassoWord((5, 5, 5, 5), (1,)), 1000)
         lo, hi = got.bracket
         assert lo <= 1 <= hi
 
     def test_width_shrinks_with_horizon(self):
-        for spec, word in [("disc:1/2", lasso((2,), (1, 0))),
-                           ("blocks:2,1;mu=1", lasso((), (1, 0, 0)))]:
+        for spec, word in [("disc:1/2", LassoWord((2,), (1, 0))),
+                           ("blocks:2,1;mu=1", LassoWord((), (1, 0, 0)))]:
             seq = parse_sequence(spec)
             widths = []
             for horizon in (50, 100, 200, 400):
@@ -203,8 +204,9 @@ class TestEvalApprox:
     def test_growing_block_sequence_still_bracketable(self):
         seq = CoeffSeq((3,), (2, 1), 2)
         for mode in ("liminf", "limsup"):
-            exact = eval_exact(seq, lasso((), (1, 0)), mode).exact
-            assert approx_contains(seq, lasso((), (1, 0)), 100, exact, mode)
+            word = LassoWord((), (1, 0))
+            exact = eval_exact(seq, word, mode).exact
+            assert approx_contains(seq, word, 100, exact, mode)
 
     @settings(max_examples=40, deadline=None)
     @given(block_sequences(max_prefix=2, max_block=2),
@@ -309,7 +311,7 @@ def _reference_limit(num_samples, den_samples, rho):
 def _seeded_word(rng):
     def symbol():
         return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
-    return lasso([symbol() for _ in range(rng.randint(0, 3))],
+    return LassoWord([symbol() for _ in range(rng.randint(0, 3))],
                  [symbol() for _ in range(rng.randint(1, 6))])
 
 
@@ -448,7 +450,7 @@ class TestShapeKernel:
         for prefix in ((), (5,), (1, -3)):
             for cycle in _words_up_to((-1, 0, 2), 4, min_len=1):
                 rotations = rotation_values(ratio, cycle)
-                word = lasso(prefix, cycle)
+                word = LassoWord(prefix, cycle)
                 assert eval_exact(seq, word, "liminf").exact == min(rotations)
                 assert eval_exact(seq, word, "limsup").exact == max(rotations)
 
@@ -463,7 +465,7 @@ class TestShapeKernel:
         seq = parse_sequence(spec)
         for x in _words_up_to((0, 1), 3):
             for u in _words_up_to((0, 1), 3, min_len=1):
-                word = lasso(x, u)
+                word = LassoWord(x, u)
                 for mode in ("liminf", "limsup"):
                     value = eval_exact(seq, word, mode).exact
                     assert approx_contains(seq, word, 60, value, mode)
@@ -473,7 +475,7 @@ class TestShapeKernel:
 class TestOraclesAvoidTheClosedForm:
     def test_truncation_oracle_and_value_iteration(self, monkeypatch):
         game = random_game(4)
-        word = lasso((F(1, 2),), (3, -1, 0))
+        word = LassoWord((F(1, 2),), (3, -1, 0))
         specs = ["geom:3/2", "disc:2/3", "blocks:2,1;mu=1"]
         want = ([eval_approx(parse_sequence(spec), word, 40, mode).bracket
                  for spec in specs for mode in ("liminf", "limsup")],
@@ -518,13 +520,13 @@ class TestPayoffValue:
 class TestLassoParsing:
     def test_round_trip(self):
         word = parse_lasso("prefix=1,2;cycle=0,4")
-        assert word == lasso((1, 2), (0, 4))
-        assert parse_lasso("cycle=1") == lasso((), (1,))
+        assert word == LassoWord((1, 2), (0, 4))
+        assert parse_lasso("cycle=1") == LassoWord((), (1,))
 
     def test_requires_cycle(self):
         with pytest.raises(Exception):
             parse_lasso("prefix=1,2")
 
     def test_symbols(self):
-        word = lasso((9,), (1, 2))
+        word = LassoWord((9,), (1, 2))
         assert [reward_at(word, i) for i in range(6)] == [9, 1, 2, 1, 2, 1]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from wavg import (Classification, CoeffSeq, RawCoeffTable,
                   SequenceAdmissionError, SequenceFormatError, analyze,
                   as_rational,
-                  discounted, first_zero_partial_sum, geometric, geometric_ratio, mean_sequence, parse_rational,
+                  discounted, first_zero_partial_sum, geometric, mean_sequence, parse_rational,
                   parse_sequence, partial_sum)
 
 from conftest import block_sequences
@@ -204,35 +204,6 @@ class TestAnalyze:
                 / (1 - seq.ratio))
         assert abs(even - an.even_sum) <= tail
         assert abs(odd - an.odd_sum) <= tail
-
-
-class TestGeometricRatio:
-    def test_quarter(self):
-        assert geometric_ratio(geometric(F(1, 4))) == F(1, 4)
-
-    def test_mean_is_constant(self):
-        assert geometric_ratio(mean_sequence()) == 1
-
-    def test_alternating_ratios_rejected(self):
-        seq = CoeffSeq((1, F(1, 2)), (F(1, 8), F(1, 16)), F(1, 8))
-        assert geometric_ratio(seq) is None
-
-    def test_disguised_geometric(self):
-        seq = CoeffSeq((1, F(1, 2)), (F(1, 4), F(1, 8)), F(1, 4))
-        assert geometric_ratio(seq) == F(1, 2)
-
-    def test_eventually_zero(self):
-        seq = CoeffSeq((), (1,), 0)
-        assert geometric_ratio(seq) == 0
-
-    @settings(max_examples=80)
-    @given(block_sequences(admitted=False))
-    def test_matches_crosscheck_over_terms(self, seq):
-        span = 3 * (seq.prefix_len + seq.period) + 2
-        c0, c1 = seq.term(0), seq.term(1)
-        holds = all(
-            seq.term(i + 1) * c0 == c1 * seq.term(i) for i in range(span))
-        assert (geometric_ratio(seq) is not None) == holds
 
 
 class TestConstructionAndParsing:

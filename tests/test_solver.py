@@ -16,7 +16,7 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
                   detour_gadget, discounted, enumerate_memoryless,
                   escape_gadget, eval_approx, eval_exact,
                   find_witness_sequence_failure, format_lasso, geometric,
-                  induced_lasso, lasso, LassoWord, loops_gadget, parse_game,
+                  induced_lasso, LassoWord, loops_gadget, parse_game,
                   mean_sequence, monotone_falsify, parse_sequence,
                   random_game, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
@@ -436,7 +436,7 @@ class TestCheckMemoryless:
         assert verdict.kind is VerdictKind.WITNESS_FOUND
         assert verdict.witness.deviating_payoff == F(151, 48)
         assert verdict.witness.memoryless_payoff == 3
-        assert verdict.witness.lasso == lasso((3, 4, 1), (3,))
+        assert verdict.witness.lasso == LassoWord((3, 4, 1), (3,))
 
     def test_two_branch_mean_no_witness(self):
         verdict = check_memoryless(two_branch_gadget(), mean_sequence(),
@@ -1017,7 +1017,7 @@ def _reference_quads(seq, alphabet, max_prefix_len, max_cycle_len,
 
     def phi(prefix, cycle):
         if (prefix, cycle) not in memo:
-            memo[prefix, cycle] = eval_exact(seq, lasso(prefix, cycle),
+            memo[prefix, cycle] = eval_exact(seq, LassoWord(prefix, cycle),
                                              mode).exact
         return memo[prefix, cycle]
 
@@ -1134,10 +1134,10 @@ class TestMonotoneFalsify:
     def test_witness_reverifies(self):
         seq = parse_sequence("blocks:2,1;mu=1")
         w = monotone_falsify(seq, (0, 1), 2, 2)
-        assert eval_exact(seq, lasso(w.x, w.u.cycle)).exact == w.phi_xu
-        assert eval_exact(seq, lasso(w.x, w.v.cycle)).exact == w.phi_xv
-        assert eval_exact(seq, lasso(w.y, w.u.cycle)).exact == w.phi_yu
-        assert eval_exact(seq, lasso(w.y, w.v.cycle)).exact == w.phi_yv
+        assert eval_exact(seq, LassoWord(w.x, w.u.cycle)).exact == w.phi_xu
+        assert eval_exact(seq, LassoWord(w.x, w.v.cycle)).exact == w.phi_xv
+        assert eval_exact(seq, LassoWord(w.y, w.u.cycle)).exact == w.phi_yu
+        assert eval_exact(seq, LassoWord(w.y, w.v.cycle)).exact == w.phi_yv
         assert w.phi_xu <= w.phi_xv and w.phi_yu > w.phi_yv
 
     def test_mean_is_monotone(self):
