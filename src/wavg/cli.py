@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -45,12 +46,9 @@ def _two_branch(args: str) -> games.GameGraph:
 
 
 def _spike(args: str) -> games.GameGraph:
-    try:
-        k = int(args)
-    except ValueError:
-        raise InputError(
-            f"builtin:spike takes an integer, got {args!r}") from None
-    return games.cycle_choice_gadget(k)
+    if not re.fullmatch(r"[+-]?[0-9]+", args):
+        raise InputError(f"builtin:spike takes an integer, got {args!r}")
+    return games.cycle_choice_gadget(int(args))
 
 
 _BUILTIN_GADGETS = {

@@ -25,12 +25,12 @@ from .errors import SequenceAdmissionError, SequenceFormatError
 
 RatLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(token: str) -> Fraction:
     """Parse a rational literal: 'p/q' or an integer, no whitespace."""
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise SequenceFormatError(f"malformed rational {token!r}")
     _, _, denominator = token.partition("/")
     if denominator and int(denominator) == 0:

@@ -13,18 +13,19 @@ then edge order.  Any play strictly beating the deviator's memoryless
 guarantee against every candidate-optimal opponent refutes memoryless
 optimality.
 
-One scan, ``_dp_scan``, serves every class.  Per cycle length and cut
-it asks a cycle oracle which states start a beating cycle for the cut's
-class, scores the prefixes by a best-walk DP, and rebuilds the first
-witness greedily.  Every engine reads one table of moves (destination,
-gain U - V, reward), signed so that beating v is positive.  Under ratio
-<= 1 the payoff is linear-fractional in the rewards, so "beats v" is the
-sign of a linear form and the oracle is a closed-walk DP; one budget
-unit is one DP cell.  Under a growing ratio the payoff is the extreme
-phase limit of the cycle, which ignores the prefix but for the cycle's
-phase offset, fixed by the cut's class: the prefix weighs 0, and the
-oracle ``_phase_cycles`` enumerates closed walks, each decided by the
-phase signs of the payoff module's integer per-phase kernel.
+Two scans share one witness order, and every engine reads one table of
+moves (destination, gain U - V, reward), signed so that beating v is
+positive.  Under ratio <= 1 the payoff is linear-fractional in the
+rewards, so "beats v" is the sign of a linear form: ``_dp_scan`` asks a
+closed-walk DP per cycle length and cut which states start a beating
+cycle for the cut's class, scores the prefixes by a best-walk DP, and
+rebuilds the first witness greedily; one budget unit is one DP cell.
+Under a growing ratio the payoff is the extreme phase limit of the
+cycle, which ignores the prefix but for the cycle's phase offset:
+``_growing_scan`` enumerates closed walks, each decided by the phase
+signs of the payoff module's integer per-phase kernel, on a table of the
+states each state reaches in exactly k steps, which also gives the
+states each cut reaches and the least prefix.
 
 Under ratio <= 1 the scan runs only where ``_best_response``, an exact
 solve of the deviator's one-player game with positional optima, finds
@@ -357,7 +358,7 @@ def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
     maximizes), under ratio <= 1 times that of the payoff's denominator,
     the series total under ratio < 1 and the block sum under ratio 1.
     Under growth each phase's denominator keeps its own sign, which
-    _phase_cycles reads off the kernel."""
+    _growing_scan reads off the kernel."""
     total = (1 if seq.ratio > 1 else sum(seq.block) if seq.ratio == 1
              else analyze(seq).series_sum)
     sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
@@ -439,32 +440,37 @@ def _first_walk(steps: dict, back: dict, start: str, weights, score: int,
     return tuple(rewards), here, score
 
 
-def _phase_cycles(steps: dict, conjunctive: bool, seq: CoeffSeq, coeffs,
-                  max_len: int, spend: Callable) -> tuple[Callable, list[int]]:
-    """The cycle oracle of a growing class, and the lengths up to
-    ``max_len`` that some closed walk has: ``cycle(start, length, offset)``
-    is the rewards of the first closed walk of ``length`` steps at
-    ``start``, by edge index, that beats v at the phase offset ``offset``
-    against the block, or None; answers are kept, misses too.
+def _growing_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+                  mode: str, max_len: int,
+                  spend: Callable) -> Optional[LassoWord]:
+    """The deviation scan of a growing class, in _dp_scan's witness order.
 
-    Phase r's sign is that of W_r times V_r, a payoff._Shape fed the
-    cycle's signed gains from ``steps``: a cycle beats v where every
-    phase's sign is 1 if ``conjunctive`` (the liminf maximizer, the
-    limsup minimizer), where one is otherwise.  One kernel per cycle
-    length, built on the scan's unsigned table ``coeffs``, is kept with
-    the signs of its V_r until the scan asks the next length.  The walks
-    are enumerated depth first over an explicit stack, pruned by a table of
-    the states each state reaches in exactly k steps.  A cycle rotated by
-    r has the same phase limits at the offset moved by r, so a walk is cut
-    where it meets a start cleared at the offset of its rotation there.
-    Budget units: |Q| per step of the table, one per edge tried or frame
-    left, a candidate's length and its span lcm(p, length).
+    The payoff ignores the prefix x but for the cycle's phase offset
+    (cut - m) mod gcd(p, L), which the cut's class m + (cut - m) mod p
+    fixes.  So one table of the states each state reaches in exactly k
+    steps serves the whole scan: only the first cut of each (class,
+    reached states) pair is scanned, as later ones find the same, and the
+    least prefix into a start with a beating cycle, then the least beating
+    cycle there, is the least trail.
+
+    The cycles of each length are enumerated depth first by edge index,
+    pruned by the table.  Phase r's sign is that of W_r times V_r, a
+    payoff._Shape fed the cycle's signed gains: a cycle beats v where
+    every phase's sign is 1 on the conjunctive sides (the liminf
+    maximizer, the limsup minimizer), where one is on the others.  A cycle
+    rotated by r has the same phase limits at the offset moved by r, so a
+    walk is cut where it meets a start cleared at the offset of its
+    rotation there.  Budget units: |Q| per step of the table, one per edge
+    tried or frame left, a candidate's length and its span lcm(p, length).
     """
     m, p = seq.prefix_len, seq.period
-    extreme = min if conjunctive else max
+    coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
+    steps = _signed_steps(options, deviator, seq)
+    extreme = min if (mode == LIMINF) == (deviator == 1) else max
     # reach[k][q]: the states q reaches in exactly k steps, as a bitmask
     # over the states.
-    reach = [{q: 1 << i for i, q in enumerate(steps)}]
+    bit = {q: 1 << i for i, q in enumerate(steps)}
+    reach = [bit]
     for _ in range(max_len):
         last, layer = reach[-1], dict.fromkeys(steps, 0)
         for q, moves in steps.items():
@@ -472,94 +478,106 @@ def _phase_cycles(steps: dict, conjunctive: bool, seq: CoeffSeq, coeffs,
                 layer[q] |= last[dst]
         reach.append(layer)
         spend(len(layer))
-    # The kernel of the last cycle length asked, with the sign of each
-    # phase's V_r: the scan asks length after length.
-    kernel: tuple = (0, None, None)
-    found: dict = {}
-    # cleared[length, offset]: the starts with no beating closed walk.
-    cleared: dict = {}
+    firsts: dict = {}
+    for cut in range(max_len):
+        firsts.setdefault(((cut - m) % p, reach[cut][g.start]), cut)
 
-    def beats(cycle: list[int], phase: int) -> bool:
-        # Tail position m reads cycle slot -phase, and the kernel's window
-        # slot m mod k: rotate the cycle right by their difference.
-        nonlocal kernel
-        k = len(cycle)
-        spend(math.lcm(p, k))
-        if kernel[0] != k:
-            shape = _Shape(seq, 0, k, coeffs)
-            kernel = k, shape, [(v > 0) - (v < 0) for v in shape.dens]
-        _, shape, v_signs = kernel
-        turn = (m + phase) % k
-        if turn:
-            cycle = cycle[k - turn:] + cycle[:k - turn]
-        return extreme([((w > 0) - (w < 0)) * v for w, v in zip(
-            shape.numerators(cycle), v_signs)]) == 1
+    for length in range(1, max_len + 1):
+        d = math.gcd(p, length)
+        # found[start, offset]: the first beating cycle there, or None;
+        # cleared[offset]: the starts with none; kernel: the length's
+        # _Shape on the unsigned coeffs and the signs of its V_r, built for
+        # the first candidate.
+        found: dict = {}
+        cleared = [set() for _ in range(d)]
+        kernel: list = []
 
-    def cycle(start: str, length: int,
-              offset: int) -> Optional[tuple[Fraction, ...]]:
-        key = (start, length, offset)
-        if key in found:
+        def cycle(start: str, offset: int) -> Optional[tuple[Fraction, ...]]:
+            key = start, offset
+            if key in found:
+                return found[key]
+            found[key] = None
+            target = bit[start]
+            if not reach[length][start] & target:
+                return None
+            # tried: the moves tried and frames left since the last charge.
+            rewards, gains, tried, frames = [], [], 0, [iter(steps[start])]
+            while frames:
+                tried += 1
+                move = next(frames[-1], None)
+                if move is None:
+                    frames.pop()
+                    del rewards[-1:], gains[-1:]
+                    continue
+                dst, gain, reward = move
+                left = length - len(frames)
+                if (dst in cleared[(offset + len(frames)) % d]
+                        or not reach[left][dst] & target):
+                    continue
+                rewards.append(reward)
+                gains.append(gain)
+                if left:
+                    frames.append(iter(steps[dst]))
+                    continue
+                spend(tried + length + math.lcm(p, length))
+                tried = 0
+                if not kernel:
+                    shape = _Shape(seq, 0, length, coeffs)
+                    kernel[:] = shape, [(v > 0) - (v < 0) for v in shape.dens]
+                shape, v_signs = kernel
+                # Tail position m reads cycle slot -offset, and the kernel's
+                # window slot m mod length: rotate the cycle right by their
+                # difference.
+                turn = (m + offset) % length
+                signs = [((w > 0) - (w < 0)) * v for w, v in zip(
+                    shape.numerators(gains[length - turn:]
+                                     + gains[:length - turn]), v_signs)]
+                if extreme(signs) == 1:
+                    found[key] = tuple(rewards)
+                    break
+                del rewards[-1], gains[-1]
+            spend(tried)
+            if found[key] is None:
+                cleared[offset].add(start)
             return found[key]
-        found[key] = None
-        target = reach[0][start]
-        if not reach[length][start] & target:
-            return None
-        clear = [cleared.get((length, o), ())
-                 for o in range(math.gcd(p, length))]
-        # tried: the moves tried and the frames left since the last charge.
-        rewards, gains, tried, frames = [], [], 0, [iter(steps[start])]
-        while frames:
-            tried += 1
-            move = next(frames[-1], None)
-            if move is None:
-                frames.pop()
-                del rewards[-1:], gains[-1:]
-                continue
-            dst, gain, reward = move
-            left = length - len(frames)
-            if (dst in clear[(offset + len(frames)) % len(clear)]
-                    or not reach[left][dst] & target):
-                continue
-            rewards.append(reward)
-            gains.append(gain)
-            if left:
-                frames.append(iter(steps[dst]))
-                continue
-            spend(tried + length)
-            tried = 0
-            if beats(gains, offset):
-                found[key] = tuple(rewards)
-                break
-            del rewards[-1], gains[-1]
-        spend(tried)
-        if found[key] is None:
-            cleared.setdefault((length, offset), set()).add(start)
-        return found[key]
 
-    return cycle, [length for length in range(1, max_len + 1)
-                   if any(reach[length][q] & reach[0][q] for q in steps)]
+        for cut in firsts.values():
+            if cut > max_len - length:
+                break
+            offset = (cut - m) % d
+            ends = sum(bit[q] for q in steps
+                       if reach[cut][g.start] & bit[q] and cycle(q, offset))
+            if ends:
+                head, here = [], g.start
+                for left in reversed(range(cut)):
+                    here, reward = next((dst, reward)
+                                        for dst, _, reward in steps[here]
+                                        if reach[left][dst] & ends)
+                    head.append(reward)
+                return LassoWord(tuple(head), found[here, offset])
+    return None
 
 
 def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
              mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
-    """The deviation scan of every class: the first lasso x u^w of at most
-    ``max_len`` edges that beats the value v, by cycle length, then cut
-    |x|, then edge-index trail.
+    """The deviation scan of the classes of ratio <= 1: the first lasso
+    x u^w of at most ``max_len`` edges that beats the value v, by cycle
+    length, then cut |x|, then edge-index trail.  ``mode`` is unread, as
+    every phase has one limit.
 
-    For each length and cut, a cycle oracle scores the starts of a cycle
+    For each length and cut, a closed-walk DP scores the starts of a cycle
     of that length for the cut's class, a best-walk DP over (position,
     state) the prefixes of cut steps, and a start whose two scores, each
     times a positive scale, sum past 0 makes a witness: _first_walk
-    rebuilds the least prefix to such a start, the oracle the least cycle
-    there.  Every weight comes from one table of c_0 ..
+    rebuilds the least prefix to such a start, then the least cycle there.
+    Every weight comes from one table of c_0 ..
     c_(m + p*(max_len+1) - 1); one budget unit is one DP cell.
 
-    Ratio <= 1: the payoff's numerator, the weights of a payoff._Shape,
-    weighs position i < cut by (den - num) c_i, 0 under
-    ratio 1, and cycle slot j by beta_j; its denominator has a fixed
-    sign.  So beating v is the sign of sum (den - num) c_i (x_i - v) +
-    sum beta_j (u_j - v), positive on the signed gains of _signed_steps,
-    and the oracle is a best closed-walk DP whose cycle _first_walk rebuilds.
+    The payoff's numerator, the weights of a payoff._Shape, weighs
+    position i < cut by (den - num) c_i, 0 under ratio 1, and cycle slot j
+    by beta_j; its denominator has a fixed sign.  So beating v is the sign
+    of sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), positive on
+    the signed gains of _signed_steps.
     The weights of cut >= m are those of its class m + (cut-m) mod p
     times ratio**laps; a cut below m is its own class but under ratio 1.
     Lengths whose slot weights are the first L terms of one stream times
@@ -568,20 +586,11 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     * |E| * max_len) cells in all, tau(p) the divisors of p; any other
     length walks its own, O((m+p) * |Q| * |E| * max_len**2) at worst.
 
-    Ratio > 1: the payoff ignores x but for the cycle's phase offset
-    (cut - m) mod gcd(p, L), which the class m + (cut - m) mod p fixes.
-    So the prefix weighs 0, a start scores 1 where _phase_cycles finds a
-    beating closed walk, and the least prefix to a beating start, then
-    the least beating cycle there, is the least trail.  Only the first
-    cut of each (class, reached states) pair is scanned, as later ones
-    find the same, and only the lengths of some closed walk.
-
     The witness is the first that enumerating every walk finds; it is
     returned for check_memoryless to confirm exactly.
     """
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
-    growing = a > b
     coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
     steps = _signed_steps(options, deviator, seq)
     back: dict = {q: [] for q in steps}
@@ -591,38 +600,25 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
 
     # classes[cut] = (first position of its class, ratio**laps as num, den);
     # under ratio 1 a cut below m weighs its prefix and head by 0, so it
-    # joins its class at the factor 1 (laps < 0 there), and under a
-    # growing ratio only its class's phase offset counts.
+    # joins its class at the factor 1 (laps < 0 there).
     classes = []
     for cut in range(max_len):
         laps, residue = divmod(cut - m, p)
         if cut >= m:
             classes.append((m + residue, a ** laps, b ** laps))
         else:
-            classes.append((m + residue, 1, 1) if a >= b else (cut, 1, 1))
+            classes.append((m + residue, 1, 1) if a == b else (cut, 1, 1))
 
-    # reach[cut]: the best prefix score of each state reached in cut steps;
-    # a growing class reads only the states, so its prefix weighs 0.
-    heads = [0] * max_len if growing else coeffs
+    # reach[cut]: the best prefix score of each state reached in cut steps.
     reach = [{g.start: 0}]
     for k in range(max_len - 1):
-        reach.append(_relax(reach[-1], steps, heads[k], spend))
-    lengths, cuts = range(1, max_len + 1), range(max_len)
-    if growing:
-        firsts: dict = {}
-        for cut in cuts:
-            firsts.setdefault((classes[cut][0], frozenset(reach[cut])), cut)
-        cuts = list(firsts.values())
-        cycle, lengths = _phase_cycles(
-            steps, (mode == LIMINF) == (deviator == 1), seq, coeffs, max_len,
-            spend)
-    else:
-        # joined[cut]: the states reached at the cuts of cut's class up to
-        # cut, in order of first reach.
-        joined, seen = [], {}
-        for cut, (first, _, _) in enumerate(classes):
-            seen[first] = {**seen.get(first, {}), **reach[cut]}
-            joined.append(seen[first])
+        reach.append(_relax(reach[-1], steps, coeffs[k], spend))
+    # joined[cut]: the states reached at the cuts of cut's class up to cut,
+    # in order of first reach.
+    joined, seen = [], {}
+    for cut, (first, _, _) in enumerate(classes):
+        seen[first] = {**seen.get(first, {}), **reach[cut]}
+        joined.append(seen[first])
 
     # The shared streams: (class, 0) the unfolded one, (class, d) the
     # fold of period d.
@@ -652,44 +648,34 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
         best = walks[key].advance(steps, length, starts, spend)
         return {q: score * factor for q, score in best.items()}
 
-    for length in lengths:
+    for length in range(1, max_len + 1):
         last_cut = max_len - length
         d = math.gcd(p, length)
         shrink = b ** (length // d) - a ** (length // d)
         closed: dict = {}
-        for cut in cuts:
-            if cut > last_cut:
-                break
+        for cut in range(last_cut + 1):
             first, num, den = classes[cut]
-            if growing:
-                offset = (first - m) % d
-                best = {q: 1 for q in reach[cut] if cycle(q, length, offset)}
-                head_scale, loop_scale = 0, 1
-            else:
-                if first not in closed:
-                    # The closed walks start where the class's cuts up to
-                    # last_cut end: joined at the last of them.
-                    top = (first if first < m
-                           else last_cut - (last_cut - first) % p)
-                    closed[first] = closed_walks(first, length, joined[top])
-                best = closed[first]
-                head_scale, loop_scale = den * shrink, num
+            if first not in closed:
+                # The closed walks start where the class's cuts up to
+                # last_cut end: joined at the last of them.
+                top = (first if first < m
+                       else last_cut - (last_cut - first) % p)
+                closed[first] = closed_walks(first, length, joined[top])
+            best, head_scale = closed[first], den * shrink
             for q, score in reach[cut].items():
                 end = best.get(q)
-                if end is not None and score * head_scale + end * loop_scale > 0:
+                if end is not None and score * head_scale + end * num > 0:
                     break
             else:
                 continue
-            ends = {q: best[q] * loop_scale for q in reach[cut] if q in best}
+            ends = {q: best[q] * num for q in reach[cut] if q in best}
             head, q, score = _first_walk(
                 steps, back, g.start, [c * head_scale for c in coeffs[:cut]],
                 0, ends, spend)
-            if growing:
-                return LassoWord(head, cycle(q, length, offset))
             betas = _Shape(seq, first, length, coeffs).weights[first:]
             loop, _, _ = _first_walk(
-                steps, back, q, [w * loop_scale for w in betas], score,
-                {q: 0}, spend)
+                steps, back, q, [w * num for w in betas], score, {q: 0},
+                spend)
             return LassoWord(head, loop)
     return None
 
@@ -825,11 +811,12 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     witness.  Step 2: for each player, search deviating plays against every
     opponent strategy that attains the saddle value; memoryless optimality
     of the pair is refuted only if every such opponent can be beaten.
-    _dp_scan finds the first such play within the bound, under ratio <= 1
-    only after _best_response finds that one exists.  Step 3: otherwise
-    report no witness up to the bound, which from mem_bound >= p +
-    ceil(m/|Q|) on is a proof under ratio <= 1 (see the module docstring);
-    an empty scan there after a beating best response is an internal error.
+    _growing_scan (ratio > 1) or _dp_scan finds the first such play within
+    the bound, the latter only after _best_response finds that one exists.
+    Step 3: otherwise report no witness up to the bound, which from
+    mem_bound >= p + ceil(m/|Q|) on is a proof under ratio <= 1 (see the
+    module docstring); an empty scan there after a beating best response is
+    an internal error.
     The table and the search share ``budget``: the table costs one unit per
     memoryless profile, the best response |Q|*(m+p) units, and the scan's
     coefficient table a bound on its 64-bit words (_table_units), one per
@@ -887,7 +874,8 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                 break
             spend(table)
             table = 0
-            word = _dp_scan(g, options, deviator, seq, mode, max_len, spend)
+            word = (_growing_scan if growing else _dp_scan)(
+                g, options, deviator, seq, mode, max_len, spend)
             if word is None:
                 if complete:
                     raise RuntimeError(

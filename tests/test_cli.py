@@ -131,6 +131,12 @@ class TestSolve:
         report = solve_enumerative(escape_gadget(3), parse_sequence("disc:1/2"))
         assert F(json.loads(out)["maximin"]) == report.maximin.exact == F(3, 2)
 
+    def test_builtin_spike_takes_a_signed_integer(self, capsys):
+        code, out, _ = run(capsys, "solve", "--game", "builtin:spike:+3",
+                           "--seq", "mean")
+        assert code == 0
+        assert "maximin  = 1/3" in out
+
     def test_game_file(self, capsys, tmp_path):
         path = tmp_path / "game.txt"
         path.write_text(serialize_game(two_branch_gadget()))
@@ -305,9 +311,20 @@ def _assert_bad_input(code, out, err, message):
      "builtin:spike takes an integer, got 'abc'"),
     (("check-memoryless", "--game", "builtin:spike:", "--seq", "mean"),
      "builtin:spike takes an integer, got ''"),
+    (("check-memoryless", "--game", "builtin:spike:-1", "--seq", "mean"),
+     "k must be at least 1"),
+    (("check-memoryless", "--game", "builtin:spike:1_0", "--seq", "mean"),
+     "builtin:spike takes an integer, got '1_0'"),
+    (("check-memoryless", "--game", "builtin:spike: 2", "--seq", "mean"),
+     "builtin:spike takes an integer, got ' 2'"),
+    (("check-memoryless", "--game", "builtin:spike:\u0663", "--seq", "mean"),
+     "builtin:spike takes an integer, got '\u0663'"),
+    (("eval-word", "--seq", "geom:\u0662", "--word", "cycle=\u0661,\u0660"),
+     "malformed rational '\u0662'"),
 ], ids=["seq-spec", "blocks-option", "empty-table", "table-zero-first",
         "empty-cycle", "lasso-no-eq", "lasso-key", "mem-bound", "spike-0",
-        "spike-word", "spike-empty"])
+        "spike-word", "spike-empty", "spike-negative", "spike-underscore",
+        "spike-space", "spike-arabic-indic", "arabic-indic-rational"])
 def test_bad_argument_is_bad_input(capsys, argv, message):
     _assert_bad_input(*run(capsys, *argv), message)
 
@@ -323,11 +340,13 @@ def test_bad_argument_is_bad_input(capsys, argv, message):
     ("state a 1\nedge a a 1\nstart b\n", "line 3: unknown state 'b'"),
     ("state a 1\nedge a a 1\nstart a\nfrob a\n",
      "line 4: unrecognized directive 'frob'"),
+    ("state a 1\nedge a a \u0663\nstart a\n",
+     "line 2: malformed rational '\u0663'"),
 ], ids=["state-arity", "owner", "edge-arity", "duplicate-edge",
-        "start-arity", "start-unknown", "directive"])
+        "start-arity", "start-unknown", "directive", "weight-digit"])
 def test_bad_game_file_is_bad_input(capsys, tmp_path, text, message):
     path = tmp_path / "game.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     _assert_bad_input(*run(capsys, "solve", "--game", str(path),
                            "--seq", "mean"), message)
 

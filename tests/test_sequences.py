@@ -289,5 +289,10 @@ class TestConstructionAndParsing:
             parse_rational("1/2/3")
         with pytest.raises(SequenceFormatError):
             parse_rational("1.5")
+        # Only ASCII digits, and nothing after the last one: Python's \d
+        # matches every Unicode digit and $ matches before a final newline.
+        for token in ("\u0663", "\uff11\uff12", "1\n", "1/\u0662"):
+            with pytest.raises(SequenceFormatError, match="malformed"):
+                parse_rational(token)
         with pytest.raises(SequenceFormatError):
             parse_sequence("blocks:2,1")

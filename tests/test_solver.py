@@ -552,8 +552,8 @@ def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
     """Every walk from the start up to ``max_len`` edges, each closed lasso
     evaluated exactly: the reference that the deviation scan matches.
 
-    Takes the arguments of solver._dp_scan, so it can stand in for it, and
-    charges each candidate its cycle length.  A
+    Takes the arguments of solver._dp_scan and solver._growing_scan, so it
+    can stand in for either, and charges each candidate its cycle length.  A
     lasso beats the value v when its lasso of gains does: that payoff is
     unit * (phi - v) with unit > 0 (unit 1 for the Fraction gains of
     _reference_options), so it beats 0 where phi beats v.
@@ -782,8 +782,8 @@ class TestDeviationSearchOracle:
         players = []
         for g in games:
             for deviator, opponent, threshold in _oracle_scans(g, seq, mode):
-                found = _scan(solver._dp_scan, g, seq, deviator, opponent,
-                              threshold, mode)
+                found = _scan(solver._growing_scan, g, seq, deviator,
+                              opponent, threshold, mode)
                 assert found == _scan(_reference_scan, g, seq, deviator,
                                       opponent, threshold, mode)
                 if found is not None:
@@ -791,7 +791,7 @@ class TestDeviationSearchOracle:
         assert players.count(1) >= 5 and players.count(2) >= 5
         walk = [check_memoryless(g, seq, mem_bound=2, mode=mode)
                 for g in games]
-        monkeypatch.setattr(solver, "_dp_scan", _reference_scan)
+        monkeypatch.setattr(solver, "_growing_scan", _reference_scan)
         assert walk == [check_memoryless(g, seq, mem_bound=2, mode=mode)
                         for g in games]
 
@@ -807,10 +807,21 @@ class TestDeviationSearchOracle:
         for seed in (25, 27, 38):
             g = _oracle_game(seed)
             for deviator, opponent, threshold in _oracle_scans(g, seq, mode):
-                assert (_scan(solver._dp_scan, g, seq, deviator, opponent,
-                              threshold, mode, mem_bound=3)
+                assert (_scan(solver._growing_scan, g, seq, deviator,
+                              opponent, threshold, mode, mem_bound=3)
                         == _scan(_reference_scan, g, seq, deviator, opponent,
                                  threshold, mode, mem_bound=3))
+
+    def test_growing_witness_takes_the_least_prefix(self):
+        # Both moves from the start reach a beating loop at cut 1; the
+        # witness takes edge index 0 there, as the reference does.
+        edges = (Edge("s", "a", F(0)), Edge("s", "b", F(1)),
+                 Edge("a", "a", F(5)), Edge("b", "b", F(6)))
+        g = GameGraph(("s", "a", "b"), dict.fromkeys("sab", 1), edges, "s")
+        opponent = next(enumerate_memoryless(g, 2))
+        for scan in (solver._growing_scan, _reference_scan):
+            assert (_scan(scan, g, geometric(2), 1, opponent, F(2))
+                    == LassoWord((0,), (5,)))
 
 
 def _positional_product_oracle(g, opponent, deviator, seq, value):
@@ -930,7 +941,8 @@ class TestWitnessGuard:
         g = (two_branch_gadget() if spec == "geom:2"
              else detour_gadget(4, 1, 3))
         seq = parse_sequence(spec)
-        monkeypatch.setattr(solver, "_dp_scan",
+        monkeypatch.setattr(solver, ("_growing_scan" if spec == "geom:2"
+                                     else "_dp_scan"),
                             lambda *args: LassoWord((), lasso_cycle))
         message = "deviation search disagrees with the exact evaluator"
         with pytest.raises(RuntimeError, match=message):
@@ -958,22 +970,35 @@ class TestGrowingSpikes:
         assert verdict.kind is VerdictKind.WITNESS_FOUND
         assert verdict.budget == 2_000_000
 
-    @pytest.mark.parametrize("game, mode", [
-        (two_branch_gadget(), LIMINF), (cycle_choice_gadget(4), LIMSUP)])
-    def test_prefix_scores_weigh_zero(self, game, mode, monkeypatch):
-        # A growing scan reads only which states each cut reaches, so its
-        # prefix DP relaxes at weight 0 and its scores stay small.
-        weights = []
-        relax = solver._relax
+    @pytest.mark.parametrize("game, spec, mode", [
+        (two_branch_gadget(), "geom:2", LIMINF),
+        (cycle_choice_gadget(4), "geom:2", LIMSUP),
+        (detour_gadget(4, 1, 3), "blocks:1,1/2;mu=1/8", LIMINF)],
+        ids=["two-branch-geom:2", "spike:4-geom:2-limsup", "detour-blocks"])
+    def test_each_family_reaches_only_its_own_engines(self, game, spec, mode,
+                                                      monkeypatch):
+        # A growing check runs _growing_scan and no engine of the ratio <= 1
+        # classes; a ratio <= 1 check never runs _growing_scan.
+        seq, scans = parse_sequence(spec), []
+        growing_scan = solver._growing_scan
 
-        def recording(layer, steps, weight, spend):
-            weights.append(weight)
-            return relax(layer, steps, weight, spend)
+        def unreachable(*args):
+            raise AssertionError("an engine of the other family ran")
 
-        monkeypatch.setattr(solver, "_relax", recording)
-        verdict = check_memoryless(game, geometric(2), mode=mode)
+        def recording(*args):
+            scans.append(args)
+            return growing_scan(*args)
+
+        if seq.ratio > 1:
+            for name in ("_relax", "_first_walk", "_dp_scan",
+                         "_best_response"):
+                monkeypatch.setattr(solver, name, unreachable)
+            monkeypatch.setattr(solver, "_growing_scan", recording)
+        else:
+            monkeypatch.setattr(solver, "_growing_scan", unreachable)
+        verdict = check_memoryless(game, seq, mode=mode)
         assert verdict.kind is VerdictKind.WITNESS_FOUND
-        assert weights and not any(weights)
+        assert bool(scans) == (seq.ratio > 1)
 
     def test_spike_five_witness(self):
         verdict = check_memoryless(cycle_choice_gadget(5), geometric(2),
