@@ -45,10 +45,23 @@ def _two_branch(args: str) -> games.GameGraph:
     return games.two_branch_gadget()
 
 
+def integer(text: str) -> int:
+    """An ASCII integer: an optional sign, then the digits 0-9.  ``int``
+    alone also takes other scripts' digits, underscores and spaces.  The
+    integer options read through it, and argparse names it in their
+    messages."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _spike(args: str) -> games.GameGraph:
-    if not re.fullmatch(r"[+-]?[0-9]+", args):
-        raise InputError(f"builtin:spike takes an integer, got {args!r}")
-    return games.cycle_choice_gadget(int(args))
+    try:
+        k = integer(args)
+    except ValueError:
+        raise InputError(
+            f"builtin:spike takes an integer, got {args!r}") from None
+    return games.cycle_choice_gadget(k)
 
 
 _BUILTIN_GADGETS = {
@@ -284,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
-        prog="wavg",
+        prog="wavg", exit_on_error=False,
         description="Weighted-average payoff games workbench")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=[payoff.LIMINF, payoff.LIMSUP],
@@ -294,66 +307,68 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shorthand for --mode limsup")
     common.add_argument("--format", choices=["text", "structured"],
                         default="text", help="output format")
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=integer, default=None,
                         help="seed recorded in reports")
     common.add_argument("--timing", action="store_true",
                         help="include elapsed time in structured output")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Argument errors reach main, which reports them as bad input.
+    shared = {"parents": [common], "exit_on_error": False}
 
-    p = sub.add_parser("eval-word", parents=[common],
+    p = sub.add_parser("eval-word", **shared,
                        help="evaluate a payoff on a lasso word")
     p.add_argument("--seq", required=True, help="sequence spec")
     p.add_argument("--word", required=True,
                    help="lasso spec, e.g. prefix=1;cycle=0 or cycle=1,2,0,4")
-    p.add_argument("--horizon", type=int, default=None,
+    p.add_argument("--horizon", type=integer, default=None,
                    help="bracket via truncation at this horizon")
     p.set_defaults(func=cmd_eval_word)
 
-    p = sub.add_parser("solve", parents=[common],
+    p = sub.add_parser("solve", **shared,
                        help="solve a game over memoryless strategies")
     p.add_argument("--game", required=True,
                    help="game file path or builtin:<name>[:<args>]")
     p.add_argument("--seq", required=True)
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--budget", type=integer, default=500_000)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("check-memoryless", parents=[common],
+    p = sub.add_parser("check-memoryless", **shared,
                        help="look for finite-memory deviations")
     p.add_argument("--game", required=True)
     p.add_argument("--seq", required=True)
-    p.add_argument("--mem-bound", type=int, default=2)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--mem-bound", type=integer, default=2)
+    p.add_argument("--budget", type=integer, default=2_000_000)
     p.set_defaults(func=cmd_check_memoryless)
 
-    p = sub.add_parser("find-witness", parents=[common],
+    p = sub.add_parser("find-witness", **shared,
                        help="search gadget families for a memoryless failure")
     p.add_argument("--seq", required=True)
-    p.add_argument("--mem-bound", type=int, default=2)
-    p.add_argument("--budget", type=int, default=64)
+    p.add_argument("--mem-bound", type=integer, default=2)
+    p.add_argument("--budget", type=integer, default=64)
     p.set_defaults(func=cmd_find_witness)
 
-    p = sub.add_parser("monotone", parents=[common],
+    p = sub.add_parser("monotone", **shared,
                        help="search for a monotonicity violation")
     p.add_argument("--seq", required=True)
     p.add_argument("--alphabet", default="0,1",
                    help="comma-separated rationals (default 0,1)")
-    p.add_argument("--max-prefix", type=int, default=2)
-    p.add_argument("--max-cycle", type=int, default=2)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--max-prefix", type=integer, default=2)
+    p.add_argument("--max-cycle", type=integer, default=2)
+    p.add_argument("--budget", type=integer, default=10_000_000)
     p.add_argument("--nonempty", action="store_true",
                    help="require nonempty prefixes in witnesses")
     p.set_defaults(func=cmd_monotone)
 
-    p = sub.add_parser("verify-paper", parents=[common],
+    p = sub.add_parser("verify-paper", **shared,
                        help="run the built-in verification suite")
     p.set_defaults(func=cmd_verify_paper)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    start = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
+        start = time.monotonic()
         code, doc, lines = args.func(args)
         if args.format == "structured":
             if args.timing:
@@ -365,7 +380,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (InputError, UnsupportedSequenceError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, UnsupportedSequenceError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

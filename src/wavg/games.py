@@ -16,7 +16,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GameFormatError
+from .errors import GameFormatError, SequenceFormatError
 from .sequences import RatLike, as_rational, parse_rational
 from .words import LassoWord
 
@@ -316,7 +316,7 @@ def parse_game(text: str) -> GameGraph:
                     raise GameFormatError(f"unknown state {endpoint!r}", lineno)
             try:
                 weight = parse_rational(weight_tok)
-            except Exception:
+            except SequenceFormatError:
                 raise GameFormatError(f"malformed rational {weight_tok!r}", lineno)
             key = (src, dst, weight)
             if key in edge_keys:

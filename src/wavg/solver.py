@@ -13,13 +13,15 @@ then edge order.  Any play strictly beating the deviator's memoryless
 guarantee against every candidate-optimal opponent refutes memoryless
 optimality.
 
-Two scans share one witness order, and every engine reads one table of
-moves (destination, gain U - V, reward), signed so that beating v is
-positive.  Under ratio <= 1 the payoff is linear-fractional in the
-rewards, so "beats v" is the sign of a linear form: ``_dp_scan`` asks a
-closed-walk DP per cycle length and cut which states start a beating
-cycle for the cut's class, scores the prefixes by a best-walk DP, and
-rebuilds the first witness greedily; one budget unit is one DP cell.
+Two scans share one witness order.  ``check_memoryless`` prepares the
+arena once: per deviator one table of moves (destination, gain U - V,
+reward), signed so that beating v is positive, which every engine reads,
+and one table of integer coefficients for the scans.  Under ratio <= 1
+the payoff is linear-fractional in the rewards, so "beats v" is the sign
+of a linear form: ``_dp_scan`` asks a closed-walk DP per cycle length
+and cut which states start a beating cycle for the cut's class, scores
+the prefixes by a best-walk DP, and rebuilds the first witness greedily;
+one budget unit is one DP cell.
 Under a growing ratio the payoff is the extreme phase limit of the
 cycle, which ignores the prefix but for the cycle's phase offset:
 ``_growing_scan`` enumerates closed walks, each decided by the phase
@@ -249,15 +251,16 @@ class ValueIteration:
     error_bound: Fraction
 
 
-def _int_moves(g: GameGraph,
-               value: Fraction = Fraction(0)) -> tuple[dict, int]:
+def _int_moves(g: GameGraph, value: Fraction = Fraction(0),
+               sign: int = 1) -> tuple[dict, int]:
     """Each state's out-edges as (destination, gain, reward) in edge order,
-    and the unit: the gain over ``value`` V of the reward U is U - V as an
-    integer over the least common denominator of V and the rewards."""
+    and the unit: the gain over ``value`` V of the reward U is sign * (U -
+    V) as an integer over the least common denominator of V and the
+    rewards."""
     (level, *weights), scale = _scaled([value, *(e.weight for e in g.edges)])
     moves = {q: [] for q in g.states}
     for e, w in zip(g.edges, weights):
-        moves[e.src].append((e.dst, w - level, e.weight))
+        moves[e.src].append((e.dst, sign * (w - level), e.weight))
     return moves, scale
 
 
@@ -352,18 +355,15 @@ def _deviation_edges(g: GameGraph, deviator: int,
             for q in g.states}
 
 
-def _signed_steps(options: dict, deviator: int, seq: CoeffSeq) -> dict:
-    """The moves of ``options`` as (destination, sign * gain, reward),
-    signed so that beating the value is positive: the deviator's sign (1
-    maximizes), under ratio <= 1 times that of the payoff's denominator,
-    the series total under ratio < 1 and the block sum under ratio 1.
-    Under growth each phase's denominator keeps its own sign, which
-    _growing_scan reads off the kernel."""
+def _beating_sign(deviator: int, seq: CoeffSeq) -> int:
+    """The sign of the gains under which beating the value is positive:
+    the deviator's (1 maximizes), under ratio <= 1 times that of the
+    payoff's denominator, the series total under ratio < 1 and the block
+    sum under ratio 1.  Under growth each phase's denominator keeps its
+    own sign, which _growing_scan reads off the kernel."""
     total = (1 if seq.ratio > 1 else sum(seq.block) if seq.ratio == 1
              else analyze(seq).series_sum)
-    sign = (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
-    return {q: tuple((dst, sign * gain, reward) for dst, gain, reward in moves)
-            for q, moves in options.items()}
+    return (1 if deviator == 1 else -1) * (1 if total > 0 else -1)
 
 
 def _relax(layer: dict, steps: dict, weight: int, spend: Callable) -> dict:
@@ -440,10 +440,11 @@ def _first_walk(steps: dict, back: dict, start: str, weights, score: int,
     return tuple(rewards), here, score
 
 
-def _growing_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-                  mode: str, max_len: int,
+def _growing_scan(g: GameGraph, steps: dict, conjunctive: bool,
+                  seq: CoeffSeq, coeffs: tuple, max_len: int,
                   spend: Callable) -> Optional[LassoWord]:
-    """The deviation scan of a growing class, in _dp_scan's witness order.
+    """The deviation scan of a growing class, in _dp_scan's witness order,
+    on the signed moves ``steps`` and the check's table ``coeffs``.
 
     The payoff ignores the prefix x but for the cycle's phase offset
     (cut - m) mod gcd(p, L), which the cut's class m + (cut - m) mod p
@@ -456,7 +457,7 @@ def _growing_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     The cycles of each length are enumerated depth first by edge index,
     pruned by the table.  Phase r's sign is that of W_r times V_r, a
     payoff._Shape fed the cycle's signed gains: a cycle beats v where
-    every phase's sign is 1 on the conjunctive sides (the liminf
+    every phase's sign is 1 on the ``conjunctive`` sides (the liminf
     maximizer, the limsup minimizer), where one is on the others.  A cycle
     rotated by r has the same phase limits at the offset moved by r, so a
     walk is cut where it meets a start cleared at the offset of its
@@ -464,9 +465,7 @@ def _growing_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     tried or frame left, a candidate's length and its span lcm(p, length).
     """
     m, p = seq.prefix_len, seq.period
-    coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
-    steps = _signed_steps(options, deviator, seq)
-    extreme = min if (mode == LIMINF) == (deviator == 1) else max
+    extreme = min if conjunctive else max
     # reach[k][q]: the states q reaches in exactly k steps, as a bitmask
     # over the states.
     bit = {q: 1 << i for i, q in enumerate(steps)}
@@ -558,26 +557,26 @@ def _growing_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     return None
 
 
-def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
-             mode: str, max_len: int, spend: Callable) -> Optional[LassoWord]:
+def _dp_scan(g: GameGraph, steps: dict, seq: CoeffSeq, coeffs: tuple,
+             max_len: int, spend: Callable) -> Optional[LassoWord]:
     """The deviation scan of the classes of ratio <= 1: the first lasso
     x u^w of at most ``max_len`` edges that beats the value v, by cycle
-    length, then cut |x|, then edge-index trail.  ``mode`` is unread, as
-    every phase has one limit.
+    length, then cut |x|, then edge-index trail, on the signed moves
+    ``steps``.  Every phase has one limit, so the mode does not matter.
 
     For each length and cut, a closed-walk DP scores the starts of a cycle
     of that length for the cut's class, a best-walk DP over (position,
     state) the prefixes of cut steps, and a start whose two scores, each
     times a positive scale, sum past 0 makes a witness: _first_walk
     rebuilds the least prefix to such a start, then the least cycle there.
-    Every weight comes from one table of c_0 ..
+    Every weight comes from the check's table ``coeffs`` of c_0 ..
     c_(m + p*(max_len+1) - 1); one budget unit is one DP cell.
 
     The payoff's numerator, the weights of a payoff._Shape, weighs
     position i < cut by (den - num) c_i, 0 under ratio 1, and cycle slot j
     by beta_j; its denominator has a fixed sign.  So beating v is the sign
     of sum (den - num) c_i (x_i - v) + sum beta_j (u_j - v), positive on
-    the signed gains of _signed_steps.
+    the gains signed by _beating_sign.
     The weights of cut >= m are those of its class m + (cut-m) mod p
     times ratio**laps; a cut below m is its own class but under ratio 1.
     Lengths whose slot weights are the first L terms of one stream times
@@ -591,8 +590,6 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     """
     m, p = seq.prefix_len, seq.period
     a, b = seq.ratio.numerator, seq.ratio.denominator
-    coeffs = _int_coeffs(seq, m + p * (max_len + 1))[0]
-    steps = _signed_steps(options, deviator, seq)
     back: dict = {q: [] for q in steps}
     for q, moves in steps.items():
         for dst, gain, reward in moves:
@@ -680,15 +677,15 @@ def _dp_scan(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     return None
 
 
-def _best_response(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
+def _best_response(g: GameGraph, steps: dict, seq: CoeffSeq,
                    spend: Callable) -> bool:
     """Whether some play, of any memory, beats the value v against the
-    opponent fixed in ``options``: an exact solve for the convergent and
-    ratio-1 classes.
+    opponent fixed in the signed moves ``steps``: an exact solve for the
+    convergent and ratio-1 classes.
 
     A play is m prefix moves from the start, then one lap of the p block
     positions after another.  A move at position i scores c_i times its
-    signed gain from _signed_steps, so beating v is a positive objective.
+    gain, signed by _beating_sign, so beating v is a positive objective.
     A lap's score depends only on the states where it starts and ends, so
     the deviator plays alone on the states, the edge from q to r scoring
     the best lap from q to r.  Under ratio 1 the prefix washes out and a
@@ -707,7 +704,6 @@ def _best_response(g: GameGraph, options: dict, deviator: int, seq: CoeffSeq,
     m, p = seq.prefix_len, seq.period
     spend(len(g.states) * (m + p))
     coeffs = _int_coeffs(seq, m + p)[0]
-    steps = _signed_steps(options, deviator, seq)
 
     def walk(layer: dict, weights) -> dict:
         for weight in weights:
@@ -818,10 +814,10 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
     module docstring); an empty scan there after a beating best response is
     an internal error.
     The table and the search share ``budget``: the table costs one unit per
-    memoryless profile, the best response |Q|*(m+p) units, and the scan's
-    coefficient table a bound on its 64-bit words (_table_units), one per
-    coefficient under ratio 1, each charged before it is built.  A
-    negative ``mem_bound`` or ``budget`` is a ValueError.
+    memoryless profile, the best response |Q|*(m+p) units, and the scans'
+    coefficient table, built once per check, a bound on its 64-bit words
+    (_table_units), one per coefficient under ratio 1, each charged before
+    it is built.  A negative ``mem_bound`` or ``budget`` is a ValueError.
     """
     if mem_bound < 0:
         raise ValueError("mem_bound must be nonnegative")
@@ -850,15 +846,16 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
             raise BudgetExceededError("deviation search exceeded its budget")
 
     growing = seq.ratio > 1
-    # The scan's coefficient table, charged once, before the first scan.
-    table = _table_units(seq, max_len + 1)
+    # The scans' coefficient table, charged and built before the first scan.
+    coeffs = None
     complete = not growing and (
         mem_bound >= seq.period + -(-seq.prefix_len // len(g.states)))
-    moves = _int_moves(g, value)[0]
     level = max(report.row_min_keys)  # the key of the saddle value
     for deviator in (1, 2):
         if not g.owned_states(deviator):
             continue
+        moves = _int_moves(g, value, _beating_sign(deviator, seq))[0]
+        conjunctive = (mode == LIMINF) == (deviator == 1)
         # The opponent strategies that hold the deviator to the saddle
         # value, each decoded only when the search reaches it.
         strategies, keys = ((report.p2_strategies, report.col_max_keys)
@@ -868,14 +865,16 @@ def check_memoryless(g: GameGraph, seq: CoeffSeq, mem_bound: int = 2,
                      if key == level)
         first: Optional[DeviationWitness] = None
         for response in responses:
-            options = _deviation_edges(g, deviator, response, moves)
-            if not growing and not _best_response(g, options, deviator, seq,
-                                                  spend):
+            steps = _deviation_edges(g, deviator, response, moves)
+            if not growing and not _best_response(g, steps, seq, spend):
                 break
-            spend(table)
-            table = 0
-            word = (_growing_scan if growing else _dp_scan)(
-                g, options, deviator, seq, mode, max_len, spend)
+            if coeffs is None:
+                spend(_table_units(seq, max_len + 1))
+                coeffs = _int_coeffs(
+                    seq, seq.prefix_len + seq.period * (max_len + 1))[0]
+            word = (_growing_scan(g, steps, conjunctive, seq, coeffs,
+                                  max_len, spend) if growing
+                    else _dp_scan(g, steps, seq, coeffs, max_len, spend))
             if word is None:
                 if complete:
                     raise RuntimeError(

@@ -321,10 +321,26 @@ def _assert_bad_input(code, out, err, message):
      "builtin:spike takes an integer, got '\u0663'"),
     (("eval-word", "--seq", "geom:\u0662", "--word", "cycle=\u0661,\u0660"),
      "malformed rational '\u0662'"),
+    # The integer options take ASCII digits with an optional sign only.
+    (("check-memoryless", "--game", "builtin:two-branch", "--seq", "geom:2",
+      "--mem-bound", "\u0661"),
+     "argument --mem-bound: invalid integer value: '\u0661'"),
+    (("solve", "--game", "builtin:two-branch", "--seq", "mean",
+      "--budget", "1_0"), "argument --budget: invalid integer value: '1_0'"),
+    (("eval-word", "--seq", "mean", "--word", "cycle=1", "--seed", " 2"),
+     "argument --seed: invalid integer value: ' 2'"),
+    (("eval-word", "--seq", "mean", "--word", "cycle=1", "--horizon", "1_0"),
+     "argument --horizon: invalid integer value: '1_0'"),
+    (("monotone", "--seq", "mean", "--max-prefix", "\u0661"),
+     "argument --max-prefix: invalid integer value: '\u0661'"),
+    (("monotone", "--seq", "mean", "--max-cycle", " 2"),
+     "argument --max-cycle: invalid integer value: ' 2'"),
 ], ids=["seq-spec", "blocks-option", "empty-table", "table-zero-first",
         "empty-cycle", "lasso-no-eq", "lasso-key", "mem-bound", "spike-0",
         "spike-word", "spike-empty", "spike-negative", "spike-underscore",
-        "spike-space", "spike-arabic-indic", "arabic-indic-rational"])
+        "spike-space", "spike-arabic-indic", "arabic-indic-rational",
+        "mem-bound-arabic-indic", "budget-underscore", "seed-space",
+        "horizon-underscore", "max-prefix-arabic-indic", "max-cycle-space"])
 def test_bad_argument_is_bad_input(capsys, argv, message):
     _assert_bad_input(*run(capsys, *argv), message)
 
@@ -349,6 +365,20 @@ def test_bad_game_file_is_bad_input(capsys, tmp_path, text, message):
     path.write_text(text, encoding="utf-8")
     _assert_bad_input(*run(capsys, "solve", "--game", str(path),
                            "--seq", "mean"), message)
+
+
+def test_game_parser_fault_is_internal(capsys, tmp_path, monkeypatch):
+    # Only a malformed rational is bad input; a fault inside the parser is
+    # an internal error.
+    def broken(token):
+        raise RuntimeError("parser fault")
+
+    monkeypatch.setattr(cli.games, "parse_rational", broken)
+    path = tmp_path / "game.txt"
+    path.write_text("state a 1\nedge a a 1\nstart a\n", encoding="utf-8")
+    code, out, err = run(capsys, "solve", "--game", str(path), "--seq", "mean")
+    assert (code, out) == (4, "")
+    assert err == "internal error: RuntimeError('parser fault')\n"
 
 
 class TestFindWitnessAndMonotone:

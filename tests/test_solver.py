@@ -21,6 +21,7 @@ from wavg import (LIMINF, LIMSUP, BudgetExceededError, CoeffSeq, Edge,
                   random_game, solve_enumerative, two_branch_gadget,
                   value_iter_disc, value_iter_mean)
 from wavg import games, solver, verify
+from wavg.sequences import analyze
 
 F = Fraction
 
@@ -470,7 +471,7 @@ class TestCheckMemoryless:
 
     @staticmethod
     def _refuse_long_tables(monkeypatch):
-        # The best response reads c_0 .. c_(m+p-1); _dp_scan's table at
+        # The best response reads c_0 .. c_(m+p-1); the scans' table at
         # mem_bound 10**6 would be millions long.
         real = solver._int_coeffs
 
@@ -483,7 +484,7 @@ class TestCheckMemoryless:
 
     def test_coefficient_table_charged_before_it_is_built(self, monkeypatch):
         # Three profiles and 7 * 2 product cells, whose best response beats
-        # the value; then 2 * (7 * 10**6 + 1) coefficients for _dp_scan's
+        # the value; then 2 * (7 * 10**6 + 1) coefficients for the scans'
         # table.
         self._refuse_long_tables(monkeypatch)
         with pytest.raises(BudgetExceededError,
@@ -507,6 +508,31 @@ class TestCheckMemoryless:
             units = solver._table_units(seq, laps)
             assert words <= units <= 2 * words
             assert seq.ratio != 1 or units == count
+
+    @pytest.mark.parametrize("g, seq", [
+        (random_game(23, 5, 2), parse_sequence("blocks:2,1;mu=1")),
+        (random_game(4, 5, 2), geometric(2))], ids=["blocks", "geom:2"])
+    def test_coefficient_table_built_once_per_check(self, g, seq,
+                                                    monkeypatch):
+        # Two scans run, and both read the check's one table.
+        count = seq.prefix_len + seq.period * (2 * len(g.states) + 1)
+        int_coeffs, built, scans = solver._int_coeffs, [], []
+        name = "_growing_scan" if seq.ratio > 1 else "_dp_scan"
+        scan = getattr(solver, name)
+
+        def counting(seq, n):
+            built.append(n)
+            return int_coeffs(seq, n)
+
+        def recording(*args):
+            scans.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(solver, "_int_coeffs", counting)
+        monkeypatch.setattr(solver, name, recording)
+        check_memoryless(g, seq)
+        assert len(scans) == 2
+        assert built.count(count) == 1
 
     def test_no_beating_play_skips_the_scan(self, monkeypatch):
         # Nothing beats the value, so neither _dp_scan nor its table runs,
@@ -552,11 +578,10 @@ def _reference_scan(g, options, deviator, seq, mode, max_len, spend):
     """Every walk from the start up to ``max_len`` edges, each closed lasso
     evaluated exactly: the reference that the deviation scan matches.
 
-    Takes the arguments of solver._dp_scan and solver._growing_scan, so it
-    can stand in for either, and charges each candidate its cycle length.  A
-    lasso beats the value v when its lasso of gains does: that payoff is
-    unit * (phi - v) with unit > 0 (unit 1 for the Fraction gains of
-    _reference_options), so it beats 0 where phi beats v.
+    Charges each candidate its cycle length.  A lasso beats the value v
+    when its lasso of gains does: that payoff is unit * (phi - v) with
+    unit > 0 (unit 1 for the Fraction gains of _reference_options), so it
+    beats 0 where phi beats v.
     """
     best = None
     states, rewards, gains, trail = [g.start], [], [], []
@@ -638,9 +663,18 @@ def _oracle_scans(g, seq, mode=LIMINF):
                 yield deviator, opponent, threshold
 
 
-def _options(g, deviator, opponent, threshold):
-    return solver._deviation_edges(g, deviator, opponent,
-                                   solver._int_moves(g, threshold)[0])
+def _options(g, seq, deviator, opponent, threshold):
+    """The engines' arena: the candidate moves, their gains over
+    ``threshold`` signed so that beating it is positive."""
+    moves = solver._int_moves(g, threshold,
+                              solver._beating_sign(deviator, seq))[0]
+    return solver._deviation_edges(g, deviator, opponent, moves)
+
+
+def _coeffs(seq, max_len):
+    """The check's coefficient table for scans of up to ``max_len`` edges."""
+    return solver._int_coeffs(
+        seq, seq.prefix_len + seq.period * (max_len + 1))[0]
 
 
 def _candidates(g, deviator, opponent):
@@ -660,13 +694,37 @@ def _reference_options(g, deviator, opponent, threshold):
 
 
 def _scan(scan, g, seq, deviator, opponent, threshold, mode=LIMINF,
-          mem_bound=2):
-    # The reference reads candidates of its own, so a fault in the
-    # engines' arena cannot reach both sides of a comparison.
-    options = (_reference_options if scan is _reference_scan
-               else _options)(g, deviator, opponent, threshold)
-    return scan(g, options, deviator, seq, mode, mem_bound * len(g.states),
-                lambda amount: None)
+          mem_bound=2, spend=lambda amount: None):
+    max_len = mem_bound * len(g.states)
+    if scan is _reference_scan:
+        # The reference reads unsigned candidates of its own, so a fault
+        # in the engines' arena cannot reach both sides of a comparison.
+        return scan(g, _reference_options(g, deviator, opponent, threshold),
+                    deviator, seq, mode, max_len, spend)
+    steps = _options(g, seq, deviator, opponent, threshold)
+    if scan is solver._growing_scan:
+        return scan(g, steps, (mode == LIMINF) == (deviator == 1), seq,
+                    _coeffs(seq, max_len), max_len, spend)
+    return scan(g, steps, seq, _coeffs(seq, max_len), max_len, spend)
+
+
+def _reference_dp_scan(g, steps, seq, coeffs, max_len, spend):
+    """_reference_scan in _dp_scan's place.  The signed gains make beating
+    v a positive numerator, so a lasso beats v where its payoff has the
+    sign of the payoff's denominator: the series total under ratio < 1,
+    the block sum under ratio 1."""
+    total = sum(seq.block) if seq.ratio == 1 else analyze(seq).series_sum
+    return _reference_scan(g, steps, 1 if total > 0 else 2, seq, LIMINF,
+                           max_len, spend)
+
+
+def _reference_growing_scan(g, steps, conjunctive, seq, coeffs, max_len,
+                            spend):
+    """_reference_scan in _growing_scan's place.  The gains carry the
+    deviator's sign, so every side beats v as the maximizer does: under
+    liminf on the conjunctive sides, under limsup on the others."""
+    return _reference_scan(g, steps, 1, seq,
+                           LIMINF if conjunctive else LIMSUP, max_len, spend)
 
 
 def _record_dp_spend(monkeypatch) -> list:
@@ -699,7 +757,7 @@ class TestDeviationSearchOracle:
                     == _scan(_reference_scan, g, seq, deviator, opponent,
                              threshold))
         dp = check_memoryless(g, seq, mem_bound=2)
-        monkeypatch.setattr(solver, "_dp_scan", _reference_scan)
+        monkeypatch.setattr(solver, "_dp_scan", _reference_dp_scan)
         assert dp == check_memoryless(g, seq, mem_bound=2)
 
     @pytest.mark.parametrize("spec", ["blocks:2,1;mu=1", "blocks:1,2,3;mu=1",
@@ -739,9 +797,9 @@ class TestDeviationSearchOracle:
         g, seq = cycle_choice_gadget(8), parse_sequence(spec)
         value = solve_enumerative(g, seq).maximin.exact
         spent = []
-        options = _options(g, 1, next(enumerate_memoryless(g, 2)), value)
-        assert solver._dp_scan(g, options, 1, seq, LIMINF, 2 * len(g.states),
-                               spent.append) is None
+        assert _scan(solver._dp_scan, g, seq, 1,
+                     next(enumerate_memoryless(g, 2)), value,
+                     spend=spent.append) is None
         assert sum(spent) <= 44_236
 
     @pytest.mark.parametrize("k, spec, bound", [
@@ -791,7 +849,7 @@ class TestDeviationSearchOracle:
         assert players.count(1) >= 5 and players.count(2) >= 5
         walk = [check_memoryless(g, seq, mem_bound=2, mode=mode)
                 for g in games]
-        monkeypatch.setattr(solver, "_growing_scan", _reference_scan)
+        monkeypatch.setattr(solver, "_growing_scan", _reference_growing_scan)
         assert walk == [check_memoryless(g, seq, mem_bound=2, mode=mode)
                         for g in games]
 
@@ -862,8 +920,8 @@ def _best_response_scans(seq, games):
     case."""
     for g in games:
         for deviator, opponent, threshold in _oracle_scans(g, seq):
-            yield (g, _options(g, deviator, opponent, threshold), deviator,
-                   opponent, threshold)
+            yield (g, _options(g, seq, deviator, opponent, threshold),
+                   deviator, opponent, threshold)
 
 
 class TestBestResponse:
@@ -876,7 +934,7 @@ class TestBestResponse:
         answers = []
         for g, options, deviator, opponent, threshold in (
                 _best_response_scans(seq, games)):
-            found = solver._best_response(g, options, deviator, seq,
+            found = solver._best_response(g, options, seq,
                                           lambda amount: None)
             assert found == _positional_product_oracle(g, opponent, deviator,
                                                        seq, threshold)
@@ -891,14 +949,13 @@ class TestBestResponse:
         games = [random_game(seed, max_states=states, max_out_degree=degree)
                  for seed in ORACLE_SEEDS
                  for states, degree in ((5, 2), (3, 3))]
-        for g, options, deviator, _, _ in _best_response_scans(seq, games):
-            bound = seq.period + -(-seq.prefix_len // len(g.states))
-            word = solver._dp_scan(g, options, deviator, seq, LIMINF,
-                                   bound * len(g.states),
-                                   lambda amount: None)
+        for g, options, _, _, _ in _best_response_scans(seq, games):
+            max_len = (seq.period + -(-seq.prefix_len // len(g.states))
+                       ) * len(g.states)
+            word = solver._dp_scan(g, options, seq, _coeffs(seq, max_len),
+                                   max_len, lambda amount: None)
             assert solver._best_response(
-                g, options, deviator, seq,
-                lambda amount: None) == (word is not None)
+                g, options, seq, lambda amount: None) == (word is not None)
 
     def test_scan_missing_a_beating_play_is_an_internal_error(self,
                                                                monkeypatch):
