@@ -292,13 +292,20 @@ def cmd_verify_paper(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK if report.overall else EXIT_WITNESS, doc, lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports errors as bad input, which main
+    prints as one line, in place of printing usage and exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it:
     parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="wavg", exit_on_error=False,
-        description="Weighted-average payoff games workbench")
+    parser = _Parser(
+        prog="wavg", description="Weighted-average payoff games workbench")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--mode", choices=[payoff.LIMINF, payoff.LIMSUP],
                         default=payoff.LIMINF,
@@ -312,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true",
                         help="include elapsed time in structured output")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Argument errors reach main, which reports them as bad input.
-    shared = {"parents": [common], "exit_on_error": False}
+    shared = {"parents": [common]}
 
     p = sub.add_parser("eval-word", **shared,
                        help="evaluate a payoff on a lasso word")
@@ -380,8 +386,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (argparse.ArgumentError, UnsupportedSequenceError, ValueError,
-            OSError) as exc:
+    except (UnsupportedSequenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

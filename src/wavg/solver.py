@@ -48,14 +48,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
 from .games import (GameGraph, MemorylessStrategies, MemorylessStrategy,
                     detour_gadget, escape_gadget, two_branch_gadget)
 from .payoff import (LIMINF, PayoffValue, _Shape, _exact_checks,
                      _int_coeffs, _scaled, eval_exact)
-from .sequences import Classification, CoeffSeq, analyze, as_rational
+from .sequences import (Classification, CoeffSeq, SeqAnalysis, analyze,
+                        as_rational)
 from .words import LassoWord, format_lasso
 
 
@@ -1048,45 +1049,61 @@ class SequenceWitnessReport:
     tried: list[str] = field(default_factory=list)
 
 
-def _farey_mediants(lam: Fraction) -> tuple[list[Fraction], list[Fraction]]:
-    """Two rationals approaching lam from below and two from above."""
+def _detour_triples(lam: Fraction) -> list[tuple[int, int, int]]:
+    """Candidate (out, back, loop) reward triples for the detour gadget,
+    from rationals on both sides of the odd/even split ratio lam = p/q.
+
+    A rational r/s below lam gives (r + s + 1, 1, s + 1), and one above
+    gives (1, r + s + 1, r + 1).  lam itself comes first on both sides,
+    then one rational below and one above for k = 1, then for k = 2.
+    For lam > 0 these are (n + k*p)/(d + k*q), where n/d is lam's Farey
+    neighbour on that side (lam - 1 and lam + 1 when lam is an integer).
+    For lam <= 0 they are lam - 1 and lam + 1/2, then lam - 1/2 and
+    lam + 1.  Repeated triples are dropped.
+    """
     p, q = lam.numerator, lam.denominator
     if lam <= 0:
-        return ([lam - 1, lam - Fraction(1, 2)],
-                [lam + Fraction(1, 2), lam + 1])
-    if q == 1:
-        below, above = Fraction(p - 1), Fraction(p + 1)
+        pairs = [(lam - 1, lam + Fraction(1, 2)),
+                 (lam - Fraction(1, 2), lam + 1)]
     else:
-        b = pow(p, -1, q)
-        below = Fraction((p * b - 1) // q, b)
-        above = Fraction((p * (q - b) + 1) // q, q - b)
-
-    def mediant(x: Fraction) -> Fraction:
-        return Fraction(x.numerator + p, x.denominator + q)
-
-    m1_below = mediant(below)
-    m1_above = mediant(above)
-    return [m1_below, mediant(m1_below)], [m1_above, mediant(m1_above)]
-
-
-def _detour_triples(lam: Fraction) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Candidate (out, back, loop) reward triples derived from two-sided
-    rational approximations of the odd/even split ratio."""
-
-    def from_below(fr: Fraction):
-        r, s = fr.numerator, fr.denominator
-        return (Fraction(r + s + 1), Fraction(1), Fraction(s + 1))
-
-    def from_above(fr: Fraction):
-        l, k = fr.numerator, fr.denominator
-        return (Fraction(1), Fraction(k + l + 1), Fraction(l + 1))
-
-    lows, highs = _farey_mediants(lam)
-    triples = [from_below(lam), from_above(lam)]
-    for lo, hi in zip(lows, highs):
-        triples.append(from_below(lo))
-        triples.append(from_above(hi))
+        if q == 1:
+            below, above = (p - 1, 1), (p + 1, 1)
+        else:
+            b = pow(p, -1, q)
+            below = ((p * b - 1) // q, b)
+            above = ((p * (q - b) + 1) // q, q - b)
+        pairs = [tuple(Fraction(n + k * p, d + k * q)
+                       for n, d in (below, above)) for k in (1, 2)]
+    triples = []
+    for lo, hi in [(lam, lam)] + pairs:
+        r, s = lo.numerator, lo.denominator
+        triples.append((r + s + 1, 1, s + 1))
+        r, s = hi.numerator, hi.denominator
+        triples.append((1, r + s + 1, r + 1))
     return list(dict.fromkeys(triples))
+
+
+def _witness_gadgets(an: SeqAnalysis, mode: str
+                     ) -> Iterator[tuple[str, GameGraph]]:
+    """The (description, game) pairs find_witness_sequence_failure tries,
+    in order, each game built only when the search asks for it."""
+    liminf = an.inv_psum_liminf
+    top = (math.ceil(1 / liminf) + 2
+           if liminf is not None and liminf > 0 else 1)
+    for w in range(1, top + 1):
+        yield f"escape_gadget({w})", escape_gadget(w)
+    if an.classification is Classification.DIVERGENT_UNBOUNDED:
+        yield "two_branch_gadget()", two_branch_gadget()
+        yield ("two_branch_gadget((0,1),(1,0))",
+               two_branch_gadget((0, 1), (1, 0)))
+        if mode != LIMINF:
+            yield ("two_branch_gadget((0,1),(1,0),owner=1)",
+                   two_branch_gadget((0, 1), (1, 0), owner=1))
+    if (an.classification is Classification.CONVERGENT
+            and an.even_sum not in (None, 0)):
+        for out, back, loop in _detour_triples(an.odd_sum / an.even_sum):
+            yield (f"detour_gadget({out},{back},{loop})",
+                   detour_gadget(out, back, loop))
 
 
 def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
@@ -1105,37 +1122,15 @@ def find_witness_sequence_failure(seq: CoeffSeq, mem_bound: int = 2,
     alphabet {0, 1}, over prefixes of length at most 2 and cycles up to
     the block period, at least 2 and at most 4 long.  ``budget`` bounds
     the gadgets checked; a search that needs more raises
-    BudgetExceededError, and a negative one ValueError.
+    BudgetExceededError, and a negative one ValueError.  Each gadget is
+    built only when its turn comes, so a search never builds more than
+    ``budget + 1`` of them.
     """
     if budget < 0:
         raise ValueError("budget must be nonnegative")
     _exact_checks(seq, mode)
-    an = analyze(seq)
     tried: list[str] = []
-    candidates: list[tuple[str, GameGraph]] = []
-    liminf = an.inv_psum_liminf
-    if liminf is not None and liminf > 0:
-        top = math.ceil(1 / liminf) + 2
-        ws = range(1, top + 1)
-    else:
-        ws = (1,)
-    for w in ws:
-        candidates.append((f"escape_gadget({w})", escape_gadget(w)))
-    if an.classification is Classification.DIVERGENT_UNBOUNDED:
-        candidates.append(("two_branch_gadget()", two_branch_gadget()))
-        candidates.append(("two_branch_gadget((0,1),(1,0))",
-                           two_branch_gadget((0, 1), (1, 0))))
-        if mode != LIMINF:
-            candidates.append(("two_branch_gadget((0,1),(1,0),owner=1)",
-                               two_branch_gadget((0, 1), (1, 0), owner=1)))
-    if (an.classification is Classification.CONVERGENT
-            and an.even_sum not in (None, 0)):
-        lam = an.odd_sum / an.even_sum
-        for out, back, loop in _detour_triples(lam):
-            candidates.append(
-                (f"detour_gadget({out},{back},{loop})",
-                 detour_gadget(out, back, loop)))
-    for description, game in candidates:
+    for description, game in _witness_gadgets(analyze(seq), mode):
         if len(tried) >= budget:
             raise BudgetExceededError(
                 f"gadget search exceeded budget {budget}")

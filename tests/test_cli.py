@@ -335,12 +335,19 @@ def _assert_bad_input(code, out, err, message):
      "argument --max-prefix: invalid integer value: '\u0661'"),
     (("monotone", "--seq", "mean", "--max-cycle", " 2"),
      "argument --max-cycle: invalid integer value: ' 2'"),
+    # argparse's own errors give the same one line, without usage.
+    (("check-memoryless", "--seq", "mean"),
+     "the following arguments are required: --game"),
+    ((), "the following arguments are required: command"),
+    (("solve", "--game", "builtin:two-branch", "--seq", "mean", "--extra"),
+     "unrecognized arguments: --extra"),
 ], ids=["seq-spec", "blocks-option", "empty-table", "table-zero-first",
         "empty-cycle", "lasso-no-eq", "lasso-key", "mem-bound", "spike-0",
         "spike-word", "spike-empty", "spike-negative", "spike-underscore",
         "spike-space", "spike-arabic-indic", "arabic-indic-rational",
         "mem-bound-arabic-indic", "budget-underscore", "seed-space",
-        "horizon-underscore", "max-prefix-arabic-indic", "max-cycle-space"])
+        "horizon-underscore", "max-prefix-arabic-indic", "max-cycle-space",
+        "missing-option", "missing-command", "unknown-argument"])
 def test_bad_argument_is_bad_input(capsys, argv, message):
     _assert_bad_input(*run(capsys, *argv), message)
 
@@ -426,6 +433,18 @@ class TestFindWitnessAndMonotone:
         code, _, err = run(capsys, "find-witness", "--seq", "table:1,1,1")
         assert code == 2
         assert "no exact evaluator" in err
+
+    def test_find_witness_refusal_builds_no_further_than_the_budget(
+            self, capsys):
+        # The escape grid holds 1,000,002 gadgets; building them all before
+        # the first check took 30 s and 1.3 GB.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "find-witness", "--seq",
+                             "blocks:1;mu=999999/1000000", "--budget", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: gadget search exceeded budget 1\n"
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("bound", ["--max-prefix", "--max-cycle"])
     def test_monotone_refusal_counts_no_further_than_the_budget(self, capsys,

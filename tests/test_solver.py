@@ -1331,6 +1331,39 @@ class TestFindWitness:
             find_witness_sequence_failure(
                 parse_sequence("blocks:1,1/2;mu=1/8"), budget=2)
 
+    def test_gadgets_built_only_when_tried(self, monkeypatch):
+        # The escape grid for this sequence holds 1,002 gadgets; a search
+        # with budget 1 checks one and builds the next before refusing.
+        built = []
+
+        def counting(w):
+            built.append(w)
+            return escape_gadget(w)
+
+        monkeypatch.setattr(solver, "escape_gadget", counting)
+        with pytest.raises(BudgetExceededError,
+                           match="^gadget search exceeded budget 1$"):
+            find_witness_sequence_failure(
+                parse_sequence("blocks:1;mu=999/1000"), budget=1)
+        assert len(built) <= 2
+
+    @pytest.mark.parametrize("lam, triples", [
+        (F(-1, 2), [(2, 1, 3), (1, 2, 0), (0, 1, 3), (1, 2, 1), (1, 1, 2),
+                    (1, 4, 2)]),
+        (F(0), [(2, 1, 2), (1, 2, 1), (1, 1, 2), (1, 4, 2), (2, 1, 3),
+                (1, 3, 2)]),
+        (F(1, 2), [(4, 1, 3), (1, 4, 2), (5, 1, 4), (1, 6, 3), (8, 1, 6),
+                   (1, 9, 4)]),
+        (F(2), [(4, 1, 2), (1, 4, 3), (6, 1, 3), (1, 8, 6), (9, 1, 4),
+                (1, 11, 8)]),
+        (F(3, 7), [(11, 1, 8), (1, 11, 4), (18, 1, 13), (1, 14, 5),
+                   (28, 1, 20), (1, 24, 8)]),
+        (F(8, 5), [(14, 1, 6), (1, 14, 9), (19, 1, 8), (1, 22, 14),
+                   (32, 1, 13), (1, 35, 22)]),
+    ])
+    def test_detour_triples(self, lam, triples):
+        assert solver._detour_triples(lam) == triples
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):
